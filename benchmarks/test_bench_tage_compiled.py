@@ -2,15 +2,14 @@
 
 Runs the paper's central cell — TAGE-16K with the storage-free
 observation estimator — over the Table-1 (CBP-1) trace suite with the
-pure-Python batched kernel and again with the best available compiled
-provider (Numba when the ``[compiled]`` extra is installed, the
-embedded-C build otherwise), asserts strict bit-identity, and emits
+pure-Python kernel and again with the embedded-C build (provider
+``cext``), asserts strict bit-identity, and emits
 ``benchmarks/records/BENCH_tage_compiled.json``.
 
 Both timed regions run over the *same* precomputed index/tag planes, so
-the ratio isolates exactly what the compiled providers replace: the
-sequential per-branch update loop.  Boxes with no provider at all
-(no Numba, no C compiler) skip — there is nothing to measure.
+the ratio isolates exactly what the C kernel replaces: the sequential
+per-branch update loop.  Boxes without a C compiler skip — there is
+nothing to measure.
 """
 
 from __future__ import annotations

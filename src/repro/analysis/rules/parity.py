@@ -1,12 +1,11 @@
 """RPR004 — kernel parity: marked twin regions must change together.
 
-The fast backend ships the same inner loops in several translations —
-the reference Python kernels (``fast/tage.py``, ``fast/gehl.py``), the
-flat batched restatements, and an embedded-C mirror inside
-``fast/compiled.py``.  The differential suites prove bit-identity *when
-they run*; this rule moves the guard before the tests: editing one
-translation without touching its twins fails ``repro lint`` instantly,
-with a message naming every stale side.
+The fast backend ships its sequential inner loops in two translations —
+the pure Python kernels (``fast/tage.py``, ``fast/gehl.py``) and the
+embedded C inside ``fast/compiled.py``.  The differential suites prove
+bit-identity *when they run*; this rule moves the guard before the
+tests: editing one translation without touching its twin fails ``repro
+lint`` instantly, with a message naming every stale side.
 
 Mechanics — the marker convention (documented in the kernel modules;
 angle-bracket placeholders here keep these examples from reading as
@@ -85,7 +84,7 @@ class ParityRule(ProjectRule):
     rule_id = "RPR004"
     name = "kernel-parity"
     description = (
-        "parity-marked kernel regions (pure/flat/C translations) must be "
+        "parity-marked kernel regions (pure/C translations) must be "
         "updated together, re-stamping the shared fingerprint"
     )
 

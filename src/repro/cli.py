@@ -138,11 +138,11 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
                         default=None,
                         help="fast-backend kernel mode (sets $REPRO_KERNEL "
                              "for this invocation, workers included): 'auto' "
-                             "uses a compiled build when one is available, "
-                             "'pure' pins the Python kernels, 'compiled' "
-                             "requires a provider (Numba or the C "
-                             "translation) and warns once if none resolves; "
-                             "all modes are bit-identical")
+                             "uses the C kernel build when a C compiler is "
+                             "available, 'pure' pins the Python kernels, "
+                             "'compiled' requires the C kernel and warns "
+                             "once if it cannot be built; all modes are "
+                             "bit-identical")
 
 
 def _apply_kernel_mode(args) -> None:

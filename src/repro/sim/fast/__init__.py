@@ -21,10 +21,9 @@ estimators — built on five layers:
   feedback loop and per-branch observation streams for the apps layer);
 * :mod:`repro.sim.fast.gehl` — the plane-fed dot-product kernels for
   the sum-based predictors and their self-confidence signals;
-* :mod:`repro.sim.fast.compiled` — optional compiled builds (Numba or
-  an embedded C translation) of the sequential TAGE/O-GEHL kernels,
-  bit-identical to the pure loops, selected per process via
-  ``REPRO_KERNEL``;
+* :mod:`repro.sim.fast.compiled` — the optional C build of the
+  sequential TAGE/O-GEHL kernels, bit-identical to the pure loops,
+  selected per process via ``REPRO_KERNEL``;
 * :mod:`repro.sim.fast.lockstep` — multi-cell lockstep batching:
   ablation cells sharing one trace's planes advance through a single
   batched kernel pass;
@@ -64,13 +63,9 @@ from repro.sim.fast.compiled import (
     resolve_tage_kernel,
 )
 from repro.sim.fast.engine import (
-    binary_unsupported_reason,
     cell_capability,
     simulate_binary_fast,
     simulate_fast,
-    supports_estimator,
-    supports_predictor,
-    unsupported_reason,
     vectorized_assessments,
     vectorized_predictions,
 )
@@ -109,10 +104,6 @@ __all__ = [
     "active_provider",
     "resolve_tage_kernel",
     "resolve_ogehl_kernel",
-    "supports_predictor",
-    "supports_estimator",
-    "unsupported_reason",
-    "binary_unsupported_reason",
     "PlaneCache",
     "TagePlanes",
     "compute_planes",

@@ -1,38 +1,26 @@
-"""Optional compiled builds of the fast-backend inner loops.
+"""The compiled build of the fast-backend inner loops.
 
 The fast backend's remaining per-branch cost is a handful of genuinely
 sequential kernels (:func:`repro.sim.fast.tage._kernel`, the O-GEHL
-loop in :mod:`repro.sim.fast.gehl`).  This module packages *flat-array*
-re-statements of those loops — every piece of kernel state lives in a
-NumPy array or a plain integer, no lists, dicts, closures or
-attributes — so one source of truth serves three execution modes:
+loop in :mod:`repro.sim.fast.gehl`).  This module embeds a C
+translation of those loops, compiled once per source digest with the
+system C compiler (``$CC``, else ``cc``/``gcc``/``clang`` on ``PATH``)
+into a cached shared library and called through :mod:`ctypes` — the
+``cext`` provider.  Every piece of kernel state crosses the boundary as
+a flat NumPy array or a plain integer.
 
-* **pure** — the flat function runs as ordinary Python.  This is also
-  the differential-test anchor: the flat restatement must be bit-exact
-  against the original kernels *before* any compilation enters the
-  picture.
-* **numba** — the same function compiled with ``numba.njit`` when the
-  optional ``repro[compiled]`` extra is installed (``fastmath`` stays
-  off: bit-for-bit equality is the contract, not a goal).
-* **cext** — an embedded C mirror of the same loops, compiled once per
-  source digest with the system C compiler into a cached shared
-  library and called through :mod:`ctypes`.  This keeps the compiled
-  path measurable on machines without Numba (CI runners, containers
-  with a toolchain but no wheel access).
+Resolution is lazy, cached and silent: the first query builds (or finds)
+the shared library; without a C compiler the pure kernels run.
 
-Provider resolution is lazy, cached and silent: ``numba`` wins when
-importable, then ``cext`` when a C compiler is present, else the pure
-kernels.  ``REPRO_COMPILED_PROVIDER`` pins a specific provider
-(``numba`` / ``cext`` / ``none``) for tests and benchmarks.
-
-Which mode actually runs is a *process-wide* switch, not a per-call
+Which kernels actually run is a *process-wide* switch, not a per-call
 argument: ``REPRO_KERNEL`` is ``auto`` (compiled when available — safe
 because the compiled kernels are bit-identical), ``pure``, or
 ``compiled``.  Because the env var inherits into sweep worker
 processes, one setting governs a whole parallel sweep.  Requesting
-``compiled`` with no provider available falls back to pure and emits
-:class:`~repro.sim.backends.FastBackendFallbackWarning` exactly once
-per process, naming the ``pip install 'repro[compiled]'`` remedy.
+``compiled`` when the C kernel cannot be built falls back to pure and
+emits :class:`~repro.sim.backends.FastBackendFallbackWarning` exactly
+once per process, naming the remedy: a C compiler on ``PATH`` or in
+``$CC``.
 
 The TAGE kernel here is *batched*: it runs ``n_cells`` independent
 configurations over one shared set of index/tag planes in a single
@@ -43,20 +31,19 @@ sweep scheduler (:mod:`repro.sim.fast.lockstep`) and the single-cell
 entry points in :mod:`repro.sim.fast.tage` both call it; a single-cell
 simulation is simply a batch of one.
 
-Every kernel in this module is a *translation* of a reference loop and
-carries parity markers — ``repro: parity-begin <group>/<side>
+Each C kernel is a *translation* of a pure-Python loop and carries
+parity markers — ``repro: parity-begin <group>/<side>
 fingerprint=<8 hex>`` / ``repro: parity-end <group>/<side>`` — around
 the translated region (as ``#`` comments in Python, ``/* */`` comments
 inside the C source; markers are matched on raw lines, so both work).
-Two groups live here: ``tage-batch`` (sides ``pure`` in
-:mod:`repro.sim.fast.tage`, ``flat`` and ``c`` below) and ``ogehl-run``
-(``pure`` in :mod:`repro.sim.fast.gehl`, ``flat`` and ``c`` below).
-Every side records the same group-wide fingerprint (a CRC-32 of all
-sides' whitespace-normalized contents), so ``repro lint`` rule RPR004
-fails the moment any one translation changes alone; the fix is to
-update every side, re-run the differential suites
-(``tests/equivalence/``), and stamp the new fingerprint the finding
-prints onto all sides.
+Two groups live here: ``tage-batch`` (side ``pure`` in
+:mod:`repro.sim.fast.tage`, side ``c`` below) and ``ogehl-run`` (side
+``pure`` in :mod:`repro.sim.fast.gehl`, side ``c`` below).  Both sides
+record the same group-wide fingerprint (a CRC-32 of both sides'
+whitespace-normalized contents), so ``repro lint`` rule RPR004 fails
+the moment one translation changes alone; the fix is to update both
+sides, re-run the differential suites (``tests/equivalence/``), and
+stamp the new fingerprint the finding prints onto both.
 """
 
 from __future__ import annotations
@@ -77,7 +64,7 @@ from repro.sim.backends import FastBackendFallbackWarning
 
 __all__ = [
     "KERNEL_MODES",
-    "COMPILED_PROVIDERS",
+    "COMPILED_PROVIDER",
     "kernel_mode",
     "active_provider",
     "provider_unavailable_reason",
@@ -91,13 +78,12 @@ __all__ = [
 
 #: Process-wide kernel-mode switch (see module docstring).
 KERNEL_MODE_ENV = "REPRO_KERNEL"
-#: Pin one compiled provider: ``numba`` | ``cext`` | ``none``.
-PROVIDER_ENV = "REPRO_COMPILED_PROVIDER"
 #: Where compiled shared libraries are cached (default ~/.cache).
 CACHE_ENV = "REPRO_COMPILED_CACHE"
 
 KERNEL_MODES = ("auto", "pure", "compiled")
-COMPILED_PROVIDERS = ("numba", "cext")
+#: The one compiled provider: the embedded C kernel.
+COMPILED_PROVIDER = "cext"
 
 # ---------------------------------------------------------------------------
 # Packed per-cell parameter layout for the batched TAGE kernel.
@@ -105,8 +91,8 @@ COMPILED_PROVIDERS = ("numba", "cext")
 # One int64 row per cell (N_IPARAMS wide) plus one float64 row
 # (N_FPARAMS wide) carry everything `tage._kernel` reads from the
 # config/estimator/controller objects; one int64 row (N_COUNTS wide)
-# carries everything it returns.  The layout is shared verbatim by the
-# pure, numba and C builds — the literal indices below are the ABI.
+# carries everything it returns.  The literal indices below are the ABI
+# of the C kernel.
 # ---------------------------------------------------------------------------
 
 IP_LOG_TAGGED = 0      # log2 entries per tagged component
@@ -145,377 +131,15 @@ N_COUNTS = 16
 
 
 # ---------------------------------------------------------------------------
-# Flat kernels (pure Python / numba-compatible subset).
-# ---------------------------------------------------------------------------
-
-# repro: parity-begin tage-batch/flat fingerprint=dac68809
-def _tage_batch(takens, bim_idx, idx_planes, tag_planes, iparams, fparams,
-                counts, want_predictions, predictions, want_classes, classes):
-    """Batched flat-array restatement of :func:`repro.sim.fast.tage._kernel`.
-
-    ``takens``/``bim_idx`` are int64[n]; ``idx_planes``/``tag_planes``
-    int64[n_tagged, n]; ``iparams`` int64[n_cells, N_IPARAMS];
-    ``fparams`` float64[n_cells, N_FPARAMS]; ``counts`` (output)
-    int64[n_cells, N_COUNTS]; ``predictions``/``classes`` (outputs)
-    uint8[n_cells, n] when the matching ``want_*`` flag is nonzero
-    (1-element dummies otherwise).  Cells are mutually independent —
-    the batch is bit-identical to ``n_cells`` separate runs.
-
-    Everything is written in the numba-compatible subset (no closures,
-    no ``None``, no lists) and deliberately mirrors the reference
-    kernel statement for statement, including the §6 LFSR draw sites,
-    the XorShift32 allocation stream and the §6.2 controller update
-    that fires *before* the branch's own counter update.
-    """
-    n = takens.shape[0]
-    n_tagged = idx_planes.shape[0]
-    n_cells = iparams.shape[0]
-
-    for c in range(n_cells):
-        log_tagged = iparams[c, 0]
-        cmax = iparams[c, 1]
-        cmin = iparams[c, 2]
-        u_max = iparams[c, 3]
-        u_reset = iparams[c, 4]
-        use_alt_enabled = iparams[c, 5]
-        use_alt_max = iparams[c, 6]
-        use_alt_min = iparams[c, 7]
-        update_alt = iparams[c, 8]
-        randomized = iparams[c, 9]
-        prob_enabled = iparams[c, 10]
-        prob_k = iparams[c, 11]
-        lfsr_state = iparams[c, 12]
-        alloc_state = iparams[c, 13]
-        est_window = iparams[c, 14]
-        max_strength = iparams[c, 15]
-        warmup = iparams[c, 16]
-        ctrl_window = iparams[c, 17]
-        ctrl_min = iparams[c, 18]
-        ctrl_max = iparams[c, 19]
-        high_mask = iparams[c, 20]
-        log_bimodal = iparams[c, 21]
-        ctrl_target = fparams[c, 0]
-        ctrl_relax = fparams[c, 1]
-
-        size = 1 << log_tagged
-        ctr = np.zeros((n_tagged, size), np.int64)
-        tag = np.zeros((n_tagged, size), np.int64)
-        u = np.zeros((n_tagged, size), np.int64)
-        bimodal = np.empty(1 << log_bimodal, np.int64)
-        for s in range(bimodal.shape[0]):
-            bimodal[s] = 2
-
-        use_alt = 0
-        mispredictions = 0
-        since_miss = est_window if est_window >= 0 else 0
-        ctrl_high = 0
-        ctrl_misp = 0
-
-        for t in range(n):
-            taken = takens[t] != 0
-
-            # -- provider scan: longest hitting component, then the next.
-            provider = 0
-            provider_idx = 0
-            alt = 0
-            alt_idx = 0
-            i = n_tagged - 1
-            while i >= 0:
-                idx = idx_planes[i, t]
-                if tag[i, idx] == tag_planes[i, t]:
-                    if provider != 0:
-                        alt = i + 1
-                        alt_idx = idx
-                        break
-                    provider = i + 1
-                    provider_idx = idx
-                i -= 1
-
-            bidx = bim_idx[t]
-            bctr = bimodal[bidx]
-
-            # -- prediction (§3.1), with the USE_ALT_ON_NA redirect.
-            if provider != 0:
-                ctrv = ctr[provider - 1, provider_idx]
-                provider_pred = ctrv >= 0
-                weak = ctrv >= -1 and ctrv <= 0
-                if alt != 0:
-                    altpred = ctr[alt - 1, alt_idx] >= 0
-                else:
-                    altpred = bctr >= 2
-                if weak and use_alt_enabled != 0 and use_alt >= 0:
-                    prediction = altpred
-                else:
-                    prediction = provider_pred
-            else:
-                ctrv = bctr
-                prediction = bctr >= 2
-                provider_pred = prediction
-                altpred = prediction
-                weak = False
-
-            mispredicted = prediction != taken
-            if mispredicted:
-                mispredictions += 1
-            if want_predictions != 0:
-                predictions[c, t] = 1 if prediction else 0
-
-            # -- §5 observation from the pre-update table outputs.
-            if est_window >= 0:
-                if provider != 0:
-                    strength = 2 * ctrv + 1
-                    if strength < 0:
-                        strength = -strength
-                    if strength == 1:
-                        cls = 6  # Wtag
-                    elif strength == max_strength:
-                        cls = 3  # Stag
-                    elif strength == max_strength - 2:
-                        cls = 4  # NStag
-                    else:
-                        cls = 5  # NWtag
-                elif bctr == 1 or bctr == 2:
-                    cls = 1  # low-conf-bim
-                elif since_miss < est_window:
-                    cls = 2  # medium-conf-bim
-                else:
-                    cls = 0  # high-conf-bim
-                if want_classes != 0:
-                    classes[c, t] = cls
-                if t >= warmup:
-                    counts[c, 1 + cls] += 1
-                    if mispredicted:
-                        counts[c, 8 + cls] += 1
-                if provider == 0:
-                    if mispredicted:
-                        since_miss = 0
-                    elif since_miss < est_window:
-                        since_miss += 1
-
-                # -- §6.2 adaptive feedback, before the counter update.
-                if ctrl_window > 0 and ((high_mask >> cls) & 1) != 0:
-                    ctrl_high += 1
-                    if mispredicted:
-                        ctrl_misp += 1
-                    if ctrl_high >= ctrl_window:
-                        rate_mkp = 1000.0 * ctrl_misp / ctrl_high
-                        if rate_mkp > ctrl_target and prob_k < ctrl_max:
-                            prob_k += 1
-                        elif (rate_mkp < ctrl_target * ctrl_relax
-                              and prob_k > ctrl_min):
-                            prob_k -= 1
-                        ctrl_high = 0
-                        ctrl_misp = 0
-
-            # -- update (§3.2/§3.3), in the reference engine's order.
-            allocate = mispredicted and provider < n_tagged
-            if provider != 0 and weak:
-                if provider_pred == taken:
-                    allocate = False
-                if provider_pred != altpred:
-                    if altpred == taken:
-                        if use_alt < use_alt_max:
-                            use_alt += 1
-                    elif use_alt > use_alt_min:
-                        use_alt -= 1
-
-            if allocate:
-                start = provider + 1
-                if randomized != 0:
-                    x = alloc_state
-                    while start < n_tagged:
-                        x ^= (x << 13) & 0xFFFFFFFF
-                        x ^= x >> 17
-                        x ^= (x << 5) & 0xFFFFFFFF
-                        if x & 1 == 0:
-                            break
-                        start += 1
-                    alloc_state = x
-                allocated = False
-                for j in range(start - 1, n_tagged):
-                    idx = idx_planes[j, t]
-                    if u[j, idx] == 0:
-                        ctr[j, idx] = 0 if taken else -1
-                        tag[j, idx] = tag_planes[j, t]
-                        allocated = True
-                        break
-                if not allocated:
-                    for j in range(start - 1, n_tagged):
-                        idx = idx_planes[j, t]
-                        if u[j, idx] > 0:
-                            u[j, idx] -= 1
-
-            if provider != 0:
-                p = provider - 1
-                # update_ctr(provider), standard or §6 probabilistic:
-                # the LFSR draw is consumed only on the transition into
-                # saturation, and never when the probability is 1.
-                cval = ctr[p, provider_idx]
-                if taken:
-                    if cval < cmax:
-                        step = True
-                        if prob_enabled != 0 and cval == cmax - 1 and prob_k > 0:
-                            state = lfsr_state
-                            any_set = 0
-                            for _ in range(prob_k):
-                                lsb = state & 1
-                                state >>= 1
-                                if lsb != 0:
-                                    state ^= 0xA3000000
-                                    any_set = 1
-                            lfsr_state = state
-                            if any_set != 0:
-                                step = False
-                        if step:
-                            ctr[p, provider_idx] = cval + 1
-                else:
-                    if cval > cmin:
-                        step = True
-                        if prob_enabled != 0 and cval == cmin + 1 and prob_k > 0:
-                            state = lfsr_state
-                            any_set = 0
-                            for _ in range(prob_k):
-                                lsb = state & 1
-                                state >>= 1
-                                if lsb != 0:
-                                    state ^= 0xA3000000
-                                    any_set = 1
-                            lfsr_state = state
-                            if any_set != 0:
-                                step = False
-                        if step:
-                            ctr[p, provider_idx] = cval - 1
-                if update_alt != 0 and u[p, provider_idx] == 0:
-                    if alt != 0:
-                        # update_ctr(alt), same draw discipline.
-                        a = alt - 1
-                        cval = ctr[a, alt_idx]
-                        if taken:
-                            if cval < cmax:
-                                step = True
-                                if (prob_enabled != 0 and cval == cmax - 1
-                                        and prob_k > 0):
-                                    state = lfsr_state
-                                    any_set = 0
-                                    for _ in range(prob_k):
-                                        lsb = state & 1
-                                        state >>= 1
-                                        if lsb != 0:
-                                            state ^= 0xA3000000
-                                            any_set = 1
-                                    lfsr_state = state
-                                    if any_set != 0:
-                                        step = False
-                                if step:
-                                    ctr[a, alt_idx] = cval + 1
-                        else:
-                            if cval > cmin:
-                                step = True
-                                if (prob_enabled != 0 and cval == cmin + 1
-                                        and prob_k > 0):
-                                    state = lfsr_state
-                                    any_set = 0
-                                    for _ in range(prob_k):
-                                        lsb = state & 1
-                                        state >>= 1
-                                        if lsb != 0:
-                                            state ^= 0xA3000000
-                                            any_set = 1
-                                    lfsr_state = state
-                                    if any_set != 0:
-                                        step = False
-                                if step:
-                                    ctr[a, alt_idx] = cval - 1
-                    elif taken:
-                        if bimodal[bidx] < 3:
-                            bimodal[bidx] += 1
-                    elif bimodal[bidx] > 0:
-                        bimodal[bidx] -= 1
-                if provider_pred != altpred:
-                    uv = u[p, provider_idx]
-                    if provider_pred == taken:
-                        if uv < u_max:
-                            u[p, provider_idx] = uv + 1
-                    elif uv > 0:
-                        u[p, provider_idx] = uv - 1
-            elif taken:
-                if bctr < 3:
-                    bimodal[bidx] = bctr + 1
-            elif bctr > 0:
-                bimodal[bidx] = bctr - 1
-
-            # -- graceful periodic aging of the u counters.
-            if (t + 1) % u_reset == 0:
-                for j in range(n_tagged):
-                    for s in range(size):
-                        u[j, s] = u[j, s] >> 1
-
-        counts[c, 0] = mispredictions
-        counts[c, 15] = prob_k if prob_enabled != 0 else -1
-    return 0
-# repro: parity-end tage-batch/flat
-
-
-# repro: parity-begin ogehl-run/flat fingerprint=d0071cbe
-def _ogehl_run(takens, planes, ctr_max, ctr_min, log_entries,
-               predictions, high):
-    """Flat restatement of the O-GEHL loop in :mod:`repro.sim.fast.gehl`.
-
-    ``takens`` int64[n]; ``planes`` int64[n_tables, n] (precomputed
-    per-table indices); ``predictions``/``high`` uint8[n] outputs.
-    Mirrors the reference ordering exactly: assess against the
-    *pre-update* adaptive threshold, then train, then walk the TC
-    threshold counter.
-    """
-    n = takens.shape[0]
-    n_tables = planes.shape[0]
-    tables = np.zeros((n_tables, 1 << log_entries), np.int64)
-    threshold = n_tables
-    threshold_counter = 0
-    for t in range(n):
-        total = 0
-        for m in range(n_tables):
-            total += tables[m, planes[m, t]]
-        total = 2 * total + n_tables
-        prediction = total >= 0
-        predictions[t] = 1 if prediction else 0
-        magnitude = total if total >= 0 else -total
-        high[t] = 1 if magnitude >= threshold else 0
-        taken = takens[t] == 1
-        mispredicted = prediction != taken
-        if mispredicted or magnitude < threshold:
-            for m in range(n_tables):
-                index = planes[m, t]
-                counter = tables[m, index]
-                if taken:
-                    if counter < ctr_max:
-                        tables[m, index] = counter + 1
-                elif counter > ctr_min:
-                    tables[m, index] = counter - 1
-        if mispredicted:
-            threshold_counter += 1
-            if threshold_counter >= 4:
-                threshold_counter = 0
-                threshold += 1
-        elif magnitude < threshold:
-            threshold_counter -= 1
-            if threshold_counter <= -4:
-                threshold_counter = 0
-                if threshold > 1:
-                    threshold -= 1
-    return 0
-# repro: parity-end ogehl-run/flat
-
-
-# ---------------------------------------------------------------------------
-# C mirror: the same two kernels, statement for statement.
+# C translation of the pure TAGE and O-GEHL kernels, statement for
+# statement.
 # ---------------------------------------------------------------------------
 
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 
-/* repro: parity-begin tage-batch/c fingerprint=dac68809 */
+/* repro: parity-begin tage-batch/c fingerprint=8b663460 */
 /* Galois LFSR draw of the Sec 6 probabilistic automaton: k steps, OR of
  * the tap bits.  Identical to the reference Python loop. */
 static inline uint32_t lfsr_draw(uint32_t state, int64_t k, int64_t *any_set)
@@ -803,7 +427,7 @@ int tage_batch(int64_t n, int64_t n_tagged, int64_t n_cells,
 }
 /* repro: parity-end tage-batch/c */
 
-/* repro: parity-begin ogehl-run/c fingerprint=d0071cbe */
+/* repro: parity-begin ogehl-run/c fingerprint=2528c251 */
 int ogehl_run(int64_t n, int64_t n_tables, int64_t log_entries,
               const int64_t *takens, const int64_t *planes,
               int64_t ctr_max, int64_t ctr_min,
@@ -880,33 +504,12 @@ def kernel_mode() -> str:
 # Provider resolution (lazy, cached, silent).
 # ---------------------------------------------------------------------------
 
-#: provider name -> {"tage": callable, "ogehl": callable}, flat signature.
-_KERNELS: dict[str, dict] = {}
-#: forced-env value -> resolved provider name or None (memoized).
-_RESOLVED: dict[str, str | None] = {}
-#: provider name -> human reason it is unavailable (best effort).
-_UNAVAILABLE: dict[str, str] = {}
+#: None until the first query; then {"tage": callable, "ogehl": callable}
+#: when the C kernel loaded, or {} when it could not be built.
+_KERNELS: dict | None = None
+#: Why the C kernel is unavailable (None while it is, or is unresolved).
+_UNAVAILABLE: str | None = None
 _RESOLVE_LOCK = threading.Lock()
-
-
-def _load_numba() -> bool:
-    if "numba" in _KERNELS:
-        return True
-    try:
-        import numba
-    except Exception as error:  # noqa: BLE001 — availability probe
-        _UNAVAILABLE["numba"] = f"numba is not importable ({error})"
-        return False
-    try:
-        jit = numba.njit(cache=True, fastmath=False)
-        _KERNELS["numba"] = {
-            "tage": jit(_tage_batch),
-            "ogehl": jit(_ogehl_run),
-        }
-    except Exception as error:  # noqa: BLE001 — availability probe
-        _UNAVAILABLE["numba"] = f"numba.njit failed ({error})"
-        return False
-    return True
 
 
 def _cache_dir() -> Path:
@@ -960,14 +563,9 @@ def _build_shared_library() -> Path:
     return so_path
 
 
-def _load_cext() -> bool:
-    if "cext" in _KERNELS:
-        return True
-    try:
-        library = ctypes.CDLL(str(_build_shared_library()))
-    except Exception as error:  # noqa: BLE001 — availability probe
-        _UNAVAILABLE["cext"] = f"C kernel build failed ({error})"
-        return False
+def _load_cext() -> dict:
+    """Build (or find) the shared library and bind both kernels."""
+    library = ctypes.CDLL(str(_build_shared_library()))
 
     i64 = ctypes.c_int64
     p_i64 = ctypes.POINTER(ctypes.c_int64)
@@ -1014,57 +612,43 @@ def _load_cext() -> bool:
             raise MemoryError("compiled O-GEHL kernel ran out of memory")
         return 0
 
-    _KERNELS["cext"] = {"tage": cext_tage, "ogehl": cext_ogehl}
-    return True
+    return {"tage": cext_tage, "ogehl": cext_ogehl}
+
+
+def _kernels() -> dict:
+    """The loaded C kernels ({} when unavailable), resolved once per
+    process (until :func:`_reset_provider_cache`)."""
+    global _KERNELS, _UNAVAILABLE
+    with _RESOLVE_LOCK:
+        if _KERNELS is None:
+            try:
+                _KERNELS = _load_cext()
+            except Exception as error:  # noqa: BLE001 — availability probe
+                _KERNELS = {}
+                _UNAVAILABLE = f"C kernel build failed ({error})"
+        return _KERNELS
 
 
 def active_provider() -> str | None:
-    """The resolved compiled provider (``numba`` | ``cext``) or None.
+    """``cext`` when the C kernel is built and loaded, else None.
 
-    ``REPRO_COMPILED_PROVIDER`` pins a single candidate (or ``none``
-    to disable); otherwise numba is preferred over the C build.  The
-    result is memoized per forced value, so the import/build probe
-    runs at most once per process.
+    The build probe runs at most once per process.
     """
-    forced = os.environ.get(PROVIDER_ENV, "").strip().lower()
-    with _RESOLVE_LOCK:
-        if forced in _RESOLVED:
-            return _RESOLVED[forced]
-        if forced in ("none", "pure"):
-            resolved = None
-        elif forced in COMPILED_PROVIDERS:
-            loader = _load_numba if forced == "numba" else _load_cext
-            resolved = forced if loader() else None
-        else:
-            resolved = None
-            for name, loader in (("numba", _load_numba),
-                                 ("cext", _load_cext)):
-                if loader():
-                    resolved = name
-                    break
-        _RESOLVED[forced] = resolved
-        return resolved
+    return COMPILED_PROVIDER if _kernels() else None
 
 
 def provider_unavailable_reason() -> str | None:
-    """Why no compiled provider resolved (None when one is active)."""
-    if active_provider() is not None:
-        return None
-    forced = os.environ.get(PROVIDER_ENV, "").strip().lower()
-    if forced in ("none", "pure"):
-        return f"{PROVIDER_ENV}={forced} disables the compiled providers"
-    parts = [
-        _UNAVAILABLE.get(name, f"{name} unavailable")
-        for name in COMPILED_PROVIDERS
-        if not forced or forced == name
-    ]
-    return "; ".join(parts)
+    """Why the C kernel did not load (None when it is active)."""
+    return None if _kernels() else _UNAVAILABLE
 
 
 def _reset_provider_cache() -> None:
-    """Test hook: forget resolution results (keeps built kernels)."""
+    """Test hook: forget the resolution *and* the loaded kernels, so the
+    next query probes the compiler and the cache directory afresh."""
+    global _KERNELS, _UNAVAILABLE
     with _RESOLVE_LOCK:
-        _RESOLVED.clear()
+        _KERNELS = None
+        _UNAVAILABLE = None
 
 
 # ---------------------------------------------------------------------------
@@ -1076,17 +660,17 @@ _WARNED_MISSING = False
 
 def warn_missing_compiled() -> None:
     """Warn (once per process) that compiled kernels were requested but
-    no provider is available, naming the install remedy."""
+    the C kernel is unavailable, naming the remedy."""
     global _WARNED_MISSING
     if _WARNED_MISSING:
         return
     _WARNED_MISSING = True
     warnings.warn(
         "compiled kernels were requested "
-        f"({KERNEL_MODE_ENV}=compiled) but no provider is available "
+        f"({KERNEL_MODE_ENV}=compiled) but the C kernel is unavailable "
         f"({provider_unavailable_reason()}); falling back to the "
-        "pure-Python kernels. Install the optional extra with "
-        "pip install 'repro[compiled]' to enable the Numba build.",
+        "pure-Python kernels. Put a C compiler (cc, gcc or clang) on "
+        "PATH, or name one in $CC, to build it.",
         FastBackendFallbackWarning,
         stacklevel=3,
     )
@@ -1098,37 +682,33 @@ def _reset_missing_warning() -> None:
     _WARNED_MISSING = False
 
 
-def _resolve(kind: str, mode: str | None):
-    """(kernel callable, provider name or None) for ``kind`` under ``mode``.
+def _resolve(kind: str):
+    """The C kernel for ``kind`` under the current mode, or None when
+    the pure kernels run.
 
-    ``auto`` silently uses a compiled provider when one resolves (the
-    compiled kernels are bit-identical, so there is nothing to warn
-    about either way); an explicit ``compiled`` request with no
-    provider warns once per process and falls back to pure.
+    ``auto`` silently uses the C kernel when it resolves (the compiled
+    kernels are bit-identical, so there is nothing to warn about either
+    way); an explicit ``compiled`` request with no C kernel warns once
+    per process and falls back to pure.
     """
-    mode = kernel_mode() if mode is None else mode
-    pure = _tage_batch if kind == "tage" else _ogehl_run
+    mode = kernel_mode()
     if mode == "pure":
-        return pure, None
-    provider = active_provider()
-    if provider is None:
+        return None
+    kernels = _kernels()
+    if not kernels:
         if mode == "compiled":
             warn_missing_compiled()
-        return pure, None
-    return _KERNELS[provider][kind], provider
+        return None
+    return kernels[kind]
 
 
-def resolve_tage_kernel(mode: str | None = None):
-    """The batched TAGE kernel for the current (or given) mode.
-
-    Returns ``(kernel, provider)`` where ``provider`` is ``numba``,
-    ``cext`` or None (pure Python); the callable has the
-    :func:`_tage_batch` signature in every case.
-    """
-    return _resolve("tage", mode)
+def resolve_tage_kernel():
+    """The batched C TAGE kernel under the current ``REPRO_KERNEL`` mode,
+    or None when the pure kernel runs."""
+    return _resolve("tage")
 
 
-def resolve_ogehl_kernel(mode: str | None = None):
-    """The O-GEHL kernel for the current (or given) mode; see
+def resolve_ogehl_kernel():
+    """The C O-GEHL kernel under the current mode; see
     :func:`resolve_tage_kernel`."""
-    return _resolve("ogehl", mode)
+    return _resolve("ogehl")

@@ -92,33 +92,10 @@ __all__ = [
     "vectorized_predictions",
     "vectorized_assessments",
     "cell_capability",
-    "supports_predictor",
-    "supports_estimator",
-    "unsupported_reason",
-    "binary_unsupported_reason",
 ]
-
-#: The predictor types the fast backend reproduces bit-exactly.
-_FAST_PREDICTORS = (
-    BimodalPredictor,
-    GsharePredictor,
-    LocalHistoryPredictor,
-    TagePredictor,
-    PerceptronPredictor,
-    OgehlPredictor,
-)
 
 #: The sum-based predictors whose kernels also emit self-confidence.
 _SUM_PREDICTORS = (PerceptronPredictor, OgehlPredictor)
-
-
-#: The estimator types the fast backend reproduces bit-exactly.
-_FAST_ESTIMATORS = (
-    JrsEstimator,
-    EnhancedJrsEstimator,
-    SelfConfidenceEstimator,
-    TageConfidenceEstimator,
-)
 
 
 def _predictor_reason(predictor) -> str | None:
@@ -161,7 +138,7 @@ def _predictor_reason(predictor) -> str | None:
     )
 
 
-def _unsupported_reason(predictor, estimator=None, controller=None) -> str | None:
+def _accuracy_reason(predictor, estimator=None, controller=None) -> str | None:
     """Why :func:`simulate_fast` would refuse this cell (None = it runs)."""
     if controller is not None:
         reason = controller_unsupported_reason(predictor, controller)
@@ -185,7 +162,7 @@ def _unsupported_reason(predictor, estimator=None, controller=None) -> str | Non
     return None
 
 
-def _binary_unsupported_reason(predictor, estimator) -> str | None:
+def _binary_reason(predictor, estimator) -> str | None:
     """Why :func:`simulate_binary_fast` would refuse this cell."""
     reason = _predictor_reason(predictor)
     if reason is not None:
@@ -214,7 +191,7 @@ def _binary_unsupported_reason(predictor, estimator) -> str | None:
 def _jrs_reason(estimator) -> str | None:
     """Why a JRS-family table cannot be scanned (None = it can).
 
-    Shared by :func:`_binary_unsupported_reason` and
+    Shared by :func:`_binary_reason` and
     :func:`vectorized_assessments` so the dispatch pre-pass and the
     kernel can never disagree about the int64 bounds.
     """
@@ -254,9 +231,9 @@ def cell_capability(cell) -> "Capability":
                 "the binary confidence protocol"
             )
         else:
-            reason = _binary_unsupported_reason(cell.predictor, cell.estimator)
+            reason = _binary_reason(cell.predictor, cell.estimator)
     else:
-        reason = _unsupported_reason(
+        reason = _accuracy_reason(
             cell.predictor, estimator=cell.estimator, controller=cell.controller
         )
     if reason is not None:
@@ -280,53 +257,6 @@ def cell_capability(cell) -> "Capability":
         compiled_provider=provider,
         lockstep=not cell.binary and type(cell.predictor) is TagePredictor,
     )
-
-
-def _deprecated(old: str, new: str) -> None:
-    import warnings
-
-    warnings.warn(
-        f"repro.sim.fast.{old} is deprecated; query "
-        f"{new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def supports_predictor(predictor) -> bool:
-    """Deprecated: use ``get_backend('fast').capability(Cell(...))``.
-
-    Exact-type membership in the fast predictor family (a subclass may
-    override behaviour the vectorized path would silently ignore).
-    """
-    _deprecated("supports_predictor", "get_backend('fast').capability(cell)")
-    return type(predictor) in _FAST_PREDICTORS
-
-
-def supports_estimator(estimator) -> bool:
-    """Deprecated: use ``get_backend('fast').capability(Cell(...))``.
-
-    Exact-type membership across all three estimator protocols (binary
-    JRS family, storage-free self-confidence, multi-class TAGE
-    observation).
-    """
-    _deprecated("supports_estimator", "get_backend('fast').capability(cell)")
-    return type(estimator) in _FAST_ESTIMATORS
-
-
-def unsupported_reason(predictor, estimator=None, controller=None) -> str | None:
-    """Deprecated: read ``capability(cell).reason`` instead."""
-    _deprecated("unsupported_reason",
-                "get_backend('fast').capability(cell).reason")
-    return _unsupported_reason(predictor, estimator=estimator,
-                               controller=controller)
-
-
-def binary_unsupported_reason(predictor, estimator) -> str | None:
-    """Deprecated: read ``capability(cell).reason`` (``binary=True``)."""
-    _deprecated("binary_unsupported_reason",
-                "get_backend('fast').capability(cell).reason")
-    return _binary_unsupported_reason(predictor, estimator)
 
 
 def _bimodal_predictions(
@@ -499,7 +429,7 @@ def simulate_fast(
     """
     if warmup_branches < 0:
         raise ValueError(f"warmup_branches must be non-negative, got {warmup_branches}")
-    reason = _unsupported_reason(predictor, estimator=estimator, controller=controller)
+    reason = _accuracy_reason(predictor, estimator=estimator, controller=controller)
     if reason is not None:
         raise FastBackendUnsupported(reason)
     if type(predictor) is TagePredictor:
@@ -537,7 +467,7 @@ def simulate_binary_fast(
     """
     if warmup_branches < 0:
         raise ValueError(f"warmup_branches must be non-negative, got {warmup_branches}")
-    reason = _binary_unsupported_reason(predictor, estimator)
+    reason = _binary_reason(predictor, estimator)
     if reason is not None:
         raise FastBackendUnsupported(reason)
     arrays = TraceArrays.from_trace(trace)

@@ -202,6 +202,18 @@ def compute_planes(arrays: TraceArrays, geometry: tuple) -> TagePlanes:
     return TagePlanes(geometry=geometry, data=data)
 
 
+def _row_bits(geometry: tuple) -> np.ndarray:
+    """Bit width of each lookup row (``data[2:]``) of a plane set: the
+    bimodal index, then the T1..TM indices, then the T1..TM tags."""
+    log_bimodal, components = geometry
+    return np.array(
+        [log_bimodal]
+        + [log_entries for _, log_entries, *_ in components]
+        + [tag_bits for _, _, tag_bits, *_ in components],
+        dtype=np.int64,
+    )
+
+
 class PlaneCache:
     """Memmap-backed store of computed planes, one ``.npy`` per key.
 
@@ -238,7 +250,16 @@ class PlaneCache:
         return self.root / f"{self.key(arrays, geometry)}.npy"
 
     def load(self, arrays: TraceArrays, geometry: tuple) -> TagePlanes | None:
-        """The memmapped materialization, or None on miss/corruption."""
+        """The memmapped materialization, or None on miss/corruption.
+
+        Besides shape and dtype, the content the kernels trust is
+        checked: the outcome row must equal ``arrays.takens`` and every
+        bimodal, index and tag row must lie in ``[0, 2**bits)`` for the
+        geometry.  The C kernel indexes its tables with these rows
+        unchecked, so a damaged file would otherwise give a silently
+        wrong number; rejected here, it is recomputed and atomically
+        rewritten by :meth:`load_or_compute`.
+        """
         path = self.path(arrays, geometry)
         n_tagged = len(geometry[1])
         try:
@@ -248,6 +269,12 @@ class PlaneCache:
             # crash between creat and the data hitting disk).
             return None
         if data.shape != (3 + 2 * n_tagged, len(arrays)) or data.dtype != np.int64:
+            return None
+        if not np.array_equal(data[1], arrays.takens):
+            return None
+        # A value outside [0, 2**bits) - negatives included - sets a bit
+        # at or above ``bits``, and so does the OR of its row.
+        if np.any(np.bitwise_or.reduce(data[2:], axis=1) >> _row_bits(geometry)):
             return None
         return TagePlanes(geometry=geometry, data=data)
 

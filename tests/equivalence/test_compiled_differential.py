@@ -1,17 +1,18 @@
-"""Kernel-mode differentials: pure vs compiled builds, bit for bit.
+"""Kernel-mode differentials: pure vs the C kernel, bit for bit.
 
 The compiled layer (:mod:`repro.sim.fast.compiled`) may run the TAGE
-and O-GEHL inner loops through Numba or the embedded C translation;
-every mode must reproduce the reference engine exactly — saturating
-arithmetic, the LFSR probabilistic-automaton draws, allocation
-xorshift, the §6.2 in-kernel controller, warmup splits and class
-accounting included.  Each compiled leg auto-skips when its provider
-cannot load (no Numba installed, no C compiler on PATH), so the suite
-passes warning-free on any box while exercising whatever is available.
+and O-GEHL inner loops through the embedded C translation; both modes
+must reproduce the reference engine exactly — saturating arithmetic,
+the LFSR probabilistic-automaton draws, allocation xorshift, the §6.2
+in-kernel controller, warmup splits and class accounting included.
+The C leg skips only when no C compiler is present; the documented
+fallback for that case (silent under ``auto``, one warning under
+``compiled``) is tested here with a ``PATH`` that holds no compiler.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import warnings
 
 import pytest
@@ -46,37 +47,50 @@ CONFIGS = [
                                             sat_prob_log2=3)),
 ]
 
-#: Every selectable kernel leg; compiled providers skip when absent.
-KERNEL_LEGS = ("pure", "cext", "numba")
+#: Every selectable kernel leg; the C leg skips when it cannot be built.
+KERNEL_LEGS = ("pure", "cext")
 
 
 @pytest.fixture(params=KERNEL_LEGS)
 def kernel_leg(request, monkeypatch):
-    """Pin one kernel mode for the duration of a test.
-
-    The provider resolution is memoized per forced ``$REPRO_COMPILED_
-    PROVIDER`` value, so flipping the env var between tests is cheap
-    and never rebuilds the shared library.
-    """
+    """Pin one kernel mode for the duration of a test."""
     leg = request.param
     if leg == "pure":
         monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "pure")
     else:
         monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "compiled")
-        monkeypatch.setenv(compiled.PROVIDER_ENV, leg)
         if compiled.active_provider() != leg:
-            pytest.skip(f"compiled provider {leg!r} unavailable "
+            pytest.skip(f"C kernel unavailable "
                         f"({compiled.provider_unavailable_reason()})")
     return leg
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """A process view with no C compiler and an empty kernel cache: no
+    ``cc``/``gcc``/``clang`` on ``PATH``, ``CC`` unset, and
+    ``REPRO_COMPILED_CACHE`` pointing at an empty directory.  The loaded
+    kernels are forgotten on the way in and out, so neither this test
+    nor the next sees a stale resolution."""
+    empty_bin = tmp_path / "bin"
+    empty_bin.mkdir()
+    monkeypatch.setenv("PATH", str(empty_bin))
+    monkeypatch.delenv("CC", raising=False)
+    monkeypatch.setenv(compiled.CACHE_ENV, str(tmp_path / "kernels"))
+    compiled._reset_provider_cache()
+    compiled._reset_missing_warning()
+    yield
+    compiled._reset_provider_cache()
+    compiled._reset_missing_warning()
 
 
 def test_some_compiled_leg_is_exercised():
     """The suite must not silently degrade to pure-only coverage: the
     C translation needs nothing but a C compiler, which CI always has."""
     if compiled.active_provider() is None:
-        pytest.skip(f"no compiled provider on this box "
+        pytest.skip(f"C kernel unavailable on this box "
                     f"({compiled.provider_unavailable_reason()})")
-    assert compiled.active_provider() in compiled.COMPILED_PROVIDERS
+    assert compiled.active_provider() == compiled.COMPILED_PROVIDER
 
 
 @pytest.mark.parametrize("label,make_config", CONFIGS, ids=[l for l, _ in CONFIGS])
@@ -134,33 +148,115 @@ def test_unknown_kernel_mode_is_rejected(monkeypatch):
         compiled.kernel_mode()
 
 
-def test_auto_mode_falls_back_silently(monkeypatch, tiny_trace):
-    """``auto`` without a provider runs pure with no warning at all."""
+def test_auto_mode_without_compiler_falls_back_silently(
+    no_compiler, monkeypatch, tiny_trace
+):
+    """``auto`` without a compiler runs pure with no warning at all, and
+    the results stay bit-identical to the reference."""
     monkeypatch.delenv(compiled.KERNEL_MODE_ENV, raising=False)
-    monkeypatch.setenv(compiled.PROVIDER_ENV, "none")
-    compiled._reset_missing_warning()
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastBackendFallbackWarning)
-        kernel, provider = compiled.resolve_tage_kernel()
-    assert provider is None
-    result = simulate_tage_fast(tiny_trace, TagePredictor(TageConfig.small()))
-    assert result == simulate(tiny_trace, TagePredictor(TageConfig.small()))
+        assert compiled.resolve_tage_kernel() is None
+        assert compiled.resolve_ogehl_kernel() is None
+        tage = simulate_tage_fast(tiny_trace, TagePredictor(TageConfig.small()))
+        predictor = OgehlPredictor()
+        ogehl = simulate_binary_fast(
+            tiny_trace, predictor, SelfConfidenceEstimator(predictor)
+        )
+    assert compiled.active_provider() is None
+    assert "no C compiler found" in compiled.provider_unavailable_reason()
+    assert tage == simulate(tiny_trace, TagePredictor(TageConfig.small()))
+    predictor = OgehlPredictor()
+    assert ogehl == simulate_binary(
+        tiny_trace, predictor, SelfConfidenceEstimator(predictor)
+    )
 
 
-def test_compiled_mode_without_provider_warns_once(monkeypatch):
-    """Explicit ``compiled`` + no provider: one process-wide warning
-    naming the install remedy, then silence (the fix satellite)."""
+def test_compiled_mode_without_provider_warns_once(
+    no_compiler, monkeypatch, tiny_trace
+):
+    """Explicit ``compiled`` + no compiler: exactly one process-wide
+    warning naming the remedy, then silence — and pure results."""
     monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "compiled")
-    monkeypatch.setenv(compiled.PROVIDER_ENV, "none")
-    compiled._reset_missing_warning()
     with pytest.warns(FastBackendFallbackWarning,
-                      match=r"pip install 'repro\[compiled\]'"):
+                      match=r"C compiler \(cc, gcc or clang\) on PATH") as record:
         compiled.resolve_tage_kernel()
+        compiled.resolve_ogehl_kernel()
+        result = simulate_tage_fast(tiny_trace, TagePredictor(TageConfig.small()))
+    fallbacks = [w for w in record
+                 if issubclass(w.category, FastBackendFallbackWarning)]
+    assert len(fallbacks) == 1
+    assert "$CC" in str(fallbacks[0].message)
+    assert result == simulate(tiny_trace, TagePredictor(TageConfig.small()))
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastBackendFallbackWarning)
         compiled.resolve_tage_kernel()
         compiled.resolve_ogehl_kernel()
-    compiled._reset_missing_warning()
+
+
+def test_capability_cli_without_compiler_reports_reason(no_compiler, capsys):
+    from repro.cli import main
+
+    assert main(["capability", "--predictor", "tage-16K",
+                 "--estimator", "tage"]) == 0
+    out = capsys.readouterr().out
+    (fast_row,) = [line for line in out.splitlines()
+                   if line.split()[:1] == ["fast"]]
+    assert fast_row.split()[1:4] == ["yes", "no", "-"]
+    assert ("compiled provider: unavailable (C kernel build failed "
+            "(no C compiler found") in out
+
+
+def _first_build_worker(barrier, results, trace):
+    """Spawn target: race the other workers to build the C kernel in one
+    empty cache, then run a tiny TAGE simulation on it."""
+    barrier.wait(timeout=60)
+    provider = compiled.active_provider()
+    result = simulate_tage_fast(trace, TagePredictor(TageConfig.small()))
+    results.put((provider, result))
+
+
+def test_concurrent_first_builds_share_one_library(monkeypatch, tmp_path,
+                                                   tiny_trace):
+    """Four fresh processes (more than the cores of a small box) build
+    the kernel into one empty cache at once: each gets the C kernel and
+    the reference result, and exactly one library is left behind."""
+    if compiled.active_provider() is None:
+        pytest.skip(f"C kernel unavailable "
+                    f"({compiled.provider_unavailable_reason()})")
+    cache = tmp_path / "kernels"
+    monkeypatch.setenv(compiled.CACHE_ENV, str(cache))
+    monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "compiled")
+    n_workers = 4
+    context = multiprocessing.get_context("spawn")
+    barrier = context.Barrier(n_workers)
+    results = context.Queue()
+    workers = [
+        context.Process(target=_first_build_worker,
+                        args=(barrier, results, tiny_trace))
+        for _ in range(n_workers)
+    ]
+    for worker in workers:
+        worker.start()
+    try:
+        collected = [results.get(timeout=240) for _ in workers]
+    finally:
+        for worker in workers:
+            worker.join(timeout=60)
+        alive = [worker for worker in workers if worker.is_alive()]
+        for worker in alive:
+            worker.kill()
+            worker.join(timeout=10)
+    assert not alive, "a build worker did not exit"
+    assert all(worker.exitcode == 0 for worker in workers)
+    reference = simulate(tiny_trace, TagePredictor(TageConfig.small()))
+    for provider, result in collected:
+        assert provider == compiled.COMPILED_PROVIDER
+        assert result == reference
+    entries = sorted(path.name for path in cache.iterdir())
+    assert len(entries) == 1, entries
+    assert entries[0].startswith("repro_kernels_")
+    assert entries[0].endswith(".so")
 
 
 def test_prediction_streams_match_across_modes(int1_trace, monkeypatch):
@@ -176,7 +272,6 @@ def test_prediction_streams_match_across_modes(int1_trace, monkeypatch):
 
     pure = run("pure")
     if compiled.active_provider() is None:
-        pytest.skip("no compiled provider on this box")
-    monkeypatch.delenv(compiled.PROVIDER_ENV, raising=False)
+        pytest.skip("C kernel unavailable on this box")
     auto = run("auto")
     assert np.array_equal(pure, auto)

@@ -146,22 +146,19 @@ def test_reference_backend_supports_everything():
     assert capability.fallback is None
 
 
-def test_deprecated_support_shims_warn_and_delegate():
-    from repro.sim import fast
-
-    with pytest.warns(DeprecationWarning, match="capability"):
-        assert fast.supports_predictor(BimodalPredictor())
-    with pytest.warns(DeprecationWarning, match="capability"):
-        assert not fast.supports_predictor(_SubclassedBimodal())
-    with pytest.warns(DeprecationWarning, match="capability"):
-        assert fast.supports_estimator(JrsEstimator())
-    with pytest.warns(DeprecationWarning, match="capability"):
-        assert fast.unsupported_reason(build_predictor("16K")) is None
-    with pytest.warns(DeprecationWarning, match="capability"):
-        reason = fast.binary_unsupported_reason(
-            GsharePredictor(), JrsEstimator(history_length=80)
-        )
-    assert "window width" in reason
+def test_capability_answers_single_component_queries():
+    """The per-component questions the old free predicates answered
+    (exact-type predictor and estimator membership, the accuracy and
+    binary refusal reasons) are all read off ``capability(cell)``."""
+    assert _capability(BimodalPredictor())
+    assert not _capability(_SubclassedBimodal())
+    assert _capability(BimodalPredictor(), JrsEstimator(), binary=True)
+    assert _capability(build_predictor("16K")).reason is None
+    capability = _capability(
+        GsharePredictor(), JrsEstimator(history_length=80), binary=True
+    )
+    assert not capability
+    assert "window width" in capability.reason
 
 
 def test_fast_engine_raises_for_subclassed_tage(tiny_trace):

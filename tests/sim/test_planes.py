@@ -16,6 +16,8 @@ np = pytest.importorskip("numpy")
 from repro.predictors.tage.config import TageConfig
 from repro.predictors.tage.predictor import TagePredictor
 from repro.sim.backends import FastBackendUnsupported
+from repro.sim.engine import simulate
+from repro.sim.fast import simulate_tage_fast
 from repro.sim.fast.arrays import TraceArrays
 from repro.sim.fast.planes import PlaneCache, compute_planes, plane_geometry
 
@@ -144,3 +146,33 @@ class TestPlaneCache:
         planes = cache.load_or_compute(arrays, geometry)
         assert planes.data.shape == (3 + 2 * len(geometry[1]), len(arrays))
         assert cache.misses == 1
+
+    @pytest.mark.parametrize("row,value", [
+        (1, 2),       # outcome row no longer equals the trace's takens
+        (2, -1),      # bimodal index below the table
+        (3, 256),     # T1 index one past its 2**8-entry table
+        (3, -1),      # T1 index negative
+        (-1, 1 << 12),  # last tag row wider than its tag_bits
+    ], ids=["takens", "bimodal-neg", "index-past-end", "index-neg", "tag-wide"])
+    def test_out_of_range_content_is_recomputed(self, int1_trace, tmp_path,
+                                                row, value):
+        """A plane file with the right shape but content the kernels
+        cannot trust (an index past its table would make the C kernel
+        read out of bounds) is a miss and is rewritten."""
+        arrays = TraceArrays.from_trace(int1_trace)
+        config = TageConfig.small()
+        geometry = plane_geometry(config)
+        cache = PlaneCache(tmp_path)
+        fresh = np.array(cache.load_or_compute(arrays, geometry).data)
+        path = cache.path(arrays, geometry)
+        damaged = fresh.copy()
+        damaged[row, 100:5_000] = value
+        np.save(path, damaged)
+        assert cache.load(arrays, geometry) is None
+        recovered = cache.load_or_compute(arrays, geometry)
+        np.testing.assert_array_equal(recovered.data, fresh)
+        assert cache.misses == 2
+        np.testing.assert_array_equal(np.load(path), fresh)
+        assert simulate_tage_fast(
+            int1_trace, TagePredictor(config), materialization=cache
+        ) == simulate(int1_trace, TagePredictor(config))
