@@ -24,7 +24,7 @@ import time
 from conftest import emit, record, run_once  # noqa: F401
 
 from repro.serve import DriveConfig, ServerConfig, SessionSpec, drive, running_server
-from repro.serve.state import TenantSession
+from repro.sim.engine import simulate
 from repro.sim.runner import get_trace
 
 N_BRANCHES = 8_000
@@ -36,12 +36,12 @@ ESTIMATOR = "tage"
 
 
 def _offline_reference_rps(trace) -> float:
-    """Offline replay throughput of the same cell, on this machine."""
-    session = TenantSession(SessionSpec(
+    """Reference ``simulate`` throughput of the same cell, on this machine."""
+    cell = SessionSpec(
         tenant="offline", predictor=PREDICTOR, estimator=ESTIMATOR
-    ))
+    ).build_cell()
     started = time.perf_counter()
-    session.observe_batch(trace.pcs, trace.takens)
+    simulate(trace, cell.predictor, cell.estimator, backend="reference")
     elapsed = time.perf_counter() - started
     return len(trace) / elapsed
 

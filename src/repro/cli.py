@@ -4,8 +4,6 @@ Usage (``python -m repro <command>``):
 
 * ``run-trace NAME`` — simulate one CBP trace with confidence
   observation and print the per-class table.
-* ``run-suite SUITE`` — simulate a whole suite on one preset and print
-  the Table-2-style three-level summary.
 * ``sweep`` — expand a predictor × estimator × trace grid, execute it
   through the fault-tolerant broker/worker executor with on-disk result
   caching and a crash-safe run journal, and print the tidy result table
@@ -63,7 +61,6 @@ from repro.artifacts import (
     run_paper,
     write_reports,
 )
-from repro.confidence.estimator import TageConfidenceEstimator
 from repro.predictors.tage.config import (
     AUTOMATON_PROBABILISTIC,
     AUTOMATON_STANDARD,
@@ -78,10 +75,8 @@ from repro.serve import (
     run_drive,
 )
 from repro.sim.backends import BACKENDS, DEFAULT_BACKEND, default_planes_dir
-from repro.sim.engine import simulate
-from repro.sim.report import format_confidence_table, render_table
-from repro.sim.runner import SIZES, SUITES, build_predictor, get_trace, run_suite
-from repro.sim.stats import summarize
+from repro.sim.report import render_table
+from repro.sim.runner import SIZES, SUITES, get_trace, run_trace
 from repro.sweep import (
     EstimatorSpec,
     ExperimentSpec,
@@ -152,7 +147,7 @@ def _apply_kernel_mode(args) -> None:
 
 
 def _materialization_dir(args):
-    """Plane materialization target for a run-trace/run-suite invocation."""
+    """Plane materialization target for a run-trace invocation."""
     if args.backend != "fast" or args.no_cache:
         return None
     return args.cache_dir or default_planes_dir()
@@ -168,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_trace_cmd = commands.add_parser("run-trace", help="simulate one trace")
     run_trace_cmd.add_argument("name")
     _add_predictor_args(run_trace_cmd)
-
-    run_suite_cmd = commands.add_parser("run-suite", help="simulate a whole suite")
-    run_suite_cmd.add_argument("suite", choices=SUITES)
-    _add_predictor_args(run_suite_cmd)
 
     sweep_cmd = commands.add_parser(
         "sweep",
@@ -239,11 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="deterministic fault-injection plan, e.g. "
                                 "'kill@3;flaky@1:2;corrupt@4' (default: "
                                 "$REPRO_FAULTS; testing/chaos only)")
-    sweep_cmd.add_argument("--no-lockstep", action="store_true",
-                           help="run every fast-backend job independently "
-                                "instead of fusing shared-plane TAGE jobs "
-                                "into batched lockstep kernel passes "
-                                "(results are bit-identical either way)")
 
     paper_cmd = commands.add_parser(
         "paper",
@@ -473,39 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run_trace(args) -> int:
     _apply_kernel_mode(args)
-    trace = _get_trace(args.name, args.branches)
-    predictor = build_predictor(
-        args.size, automaton=args.automaton, sat_prob_log2=args.sat_prob_log2
-    )
-    estimator = TageConfidenceEstimator(predictor)
-    result = simulate(
-        trace, predictor, estimator,
+    result = run_trace(
+        _get_trace(args.name, args.branches),
+        size=args.size,
+        automaton=args.automaton,
+        sat_prob_log2=args.sat_prob_log2,
         backend=args.backend,
         materialization_dir=_materialization_dir(args),
     )
     print(result.class_table())
-    return 0
-
-
-def _cmd_run_suite(args) -> int:
-    _apply_kernel_mode(args)
-    results = run_suite(
-        args.suite,
-        size=args.size,
-        automaton=args.automaton,
-        sat_prob_log2=args.sat_prob_log2,
-        n_branches=args.branches,
-        backend=args.backend,
-        materialization_dir=_materialization_dir(args),
-    )
-    for result in results:
-        print(f"{result.trace_name:<16} {result.mpki:6.2f} misp/KI  {result.mkp:6.1f} MKP")
-    summary = summarize(results)
-    print()
-    print(format_confidence_table(
-        {(args.size, args.suite): summary},
-        title="three-level summary (Pcov-MPcov (MPrate MKP))",
-    ))
     return 0
 
 
@@ -516,7 +478,6 @@ _DEFAULT_SWEEP_TRACES = ("INT-1", "MM-1", "SERV-1", "300.twolf")
 
 def _cmd_sweep(args) -> int:
     _apply_kernel_mode(args)
-    lockstep = False if args.no_lockstep else None
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if args.resume is not None:
         # The journal carries the grid: axis flags are ignored on resume.
@@ -532,7 +493,6 @@ def _cmd_sweep(args) -> int:
                 max_retries=args.max_retries,
                 heartbeat_timeout=args.heartbeat_timeout,
                 faults=args.faults,
-                lockstep=lockstep,
             )
         except SweepInterrupted as interrupted:
             return _report_interrupted(interrupted)
@@ -579,7 +539,6 @@ def _cmd_sweep(args) -> int:
             max_retries=args.max_retries,
             heartbeat_timeout=args.heartbeat_timeout,
             faults=args.faults,
-            lockstep=lockstep,
         )
     except SweepInterrupted as interrupted:
         return _report_interrupted(interrupted)
@@ -985,7 +944,6 @@ def _cmd_drive(args) -> int:
 
 _HANDLERS = {
     "run-trace": _cmd_run_trace,
-    "run-suite": _cmd_run_suite,
     "sweep": _cmd_sweep,
     "paper": _cmd_paper,
     "gen-trace": _cmd_gen_trace,

@@ -158,23 +158,23 @@ class ReliabilityReport:
 def calibrate_simulation(trace, predictor, estimator, tracker=None, n_bins=10):
     """Run a trace while calibrating per-class probabilities online.
 
-    Convenience driver used by the calibration example and tests:
-    classifies each prediction, asks the tracker for the class's current
-    probability, records it into a :class:`ReliabilityReport`, then
-    feeds the outcome back.
+    Convenience driver used by the calibration example and tests: it
+    replays the reference observation stream
+    (:func:`repro.sim.observe.observe_trace`) through the tracker — for
+    each branch, asks the tracker for the class's current probability,
+    records it into a :class:`ReliabilityReport`, then feeds the outcome
+    back.  The tracker never feeds back into the predictor, so this is
+    the same as calibrating inside the simulation loop.
 
     Returns (tracker, report).
     """
+    # Imported here: the simulation engine imports this package.
+    from repro.sim.observe import observe_trace
+
     tracker = tracker or ClassRateTracker()
     report = ReliabilityReport(n_bins=n_bins)
-    for pc, taken_byte in zip(trace.pcs, trace.takens):
-        taken = taken_byte == 1
-        prediction = predictor.predict(pc)
-        observation = predictor.last_prediction
-        prediction_class = estimator.classify(observation)
-        mispredicted = prediction != taken
+    stream = observe_trace(trace, predictor, estimator, backend="reference")
+    for prediction_class, mispredicted in zip(stream.classes, stream.mispredicted):
         report.observe(tracker.probability(prediction_class), mispredicted)
         tracker.observe(prediction_class, mispredicted)
-        estimator.observe(observation, taken)
-        predictor.train(pc, taken)
     return tracker, report

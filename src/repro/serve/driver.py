@@ -26,9 +26,12 @@ Two load modes:
 
 :func:`differential_check` is the serving layer's correctness anchor: a
 trace replayed through a fresh tenant must produce the bit-identical
-per-branch (prediction, confidence) stream and aggregate counts as the
-offline reference engine for the same (predictor, estimator, trace)
-cell.
+per-branch (prediction, confidence) stream of :func:`offline_decisions`
+— one un-batched pass of the reference stepper
+:func:`repro.sim.engine.step` over the cell
+:func:`repro.sim.runner.build_cell` builds — so wire, shard and batch
+splitting provably change nothing; its aggregate counts must match the
+offline :func:`repro.sim.engine.simulate` for the same cell.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 
-from repro.confidence.classes import confidence_level_of
 from repro.serve.client import (
     DecisionStream,
     ServeClient,
@@ -44,9 +46,8 @@ from repro.serve.client import (
     ServeRejected,
     ServeTimeout,
 )
-from repro.serve.state import SessionSpec, TenantSession, _CODE_OF_CLASS
+from repro.serve.state import SessionSpec, TenantSession
 from repro.sim.engine import simulate, simulate_binary
-from repro.sim.observe import observe_trace
 from repro.sim.runner import get_trace
 
 __all__ = [
@@ -394,52 +395,15 @@ class DifferentialMismatchError(AssertionError):
 
 
 def offline_decisions(spec: SessionSpec, trace) -> DecisionStream:
-    """The offline reference engine's per-branch decision stream.
+    """The offline per-branch decision stream of one cell.
 
-    Multi-class non-adaptive cells go through
-    :func:`repro.sim.observe.observe_trace` (the reference engine's
-    recording loop); adaptive and binary cells replay the matching
-    reference loop here, mirroring :func:`repro.sim.engine.simulate` /
-    :func:`simulate_binary` step order exactly.
+    One un-batched pass of ``trace`` over a fresh :class:`TenantSession`
+    — the reference stepper :func:`repro.sim.engine.step` over the cell
+    :func:`repro.sim.runner.build_cell` builds — with no wire, shard or
+    batch split in between.
     """
     stream = DecisionStream(tenant=spec.tenant)
-    session = TenantSession(spec)  # offline component construction twin
-    predictor, estimator = session.predictor, session.estimator
-    if spec.estimator_spec.kind == "tage" and not spec.adaptive:
-        observed = observe_trace(trace, predictor, estimator, backend="reference")
-        stream.predictions = list(observed.predictions)
-        stream.codes = list(observed.class_codes)
-        return stream
-    predict = predictor.predict
-    train = predictor.train
-    if spec.is_binary:
-        assess = estimator.assess
-        observe = estimator.observe
-        for pc, taken_byte in zip(trace.pcs, trace.takens):
-            taken = taken_byte == 1
-            prediction = predict(pc)
-            stream.predictions.append(prediction)
-            stream.codes.append(1 if assess(pc, prediction) else 0)
-            observe(pc, prediction, taken)
-            train(pc, taken)
-        return stream
-    classify = estimator.classify
-    observe = estimator.observe
-    controller = session.controller
-    code_of = _CODE_OF_CLASS
-    for pc, taken_byte in zip(trace.pcs, trace.takens):
-        taken = taken_byte == 1
-        prediction = predict(pc)
-        observation = predictor.last_prediction
-        prediction_class = classify(observation)
-        stream.predictions.append(prediction)
-        stream.codes.append(code_of[prediction_class])
-        observe(observation, taken)
-        if controller is not None:
-            controller.observe(
-                confidence_level_of(prediction_class), prediction != taken
-            )
-        train(pc, taken)
+    stream.extend(*TenantSession(spec).observe_batch(trace.pcs, trace.takens))
     return stream
 
 
@@ -493,17 +457,17 @@ async def differential_check(
         prediction != (taken == 1)
         for prediction, taken in zip(served.predictions, trace.takens)
     )
-    session = TenantSession(spec)
-    if spec.is_binary:
+    cell = spec.build_cell()
+    if cell.binary:
         _, result = simulate_binary(
-            trace, session.predictor, session.estimator, backend="reference"
+            trace, cell.predictor, cell.estimator, backend="reference"
         )
     else:
         result = simulate(
             trace,
-            session.predictor,
-            estimator=session.estimator,
-            controller=session.controller,
+            cell.predictor,
+            estimator=cell.estimator,
+            controller=cell.controller,
             backend="reference",
         )
     if mispredictions != result.mispredictions:

@@ -2,12 +2,12 @@
 
 A tenant session is the live, server-held replica of one offline
 simulation cell: a predictor plus a confidence estimator (and the §6.2
-adaptive controller when requested), advanced one observed branch at a
-time in exactly the reference engine's per-branch step order — predict,
-classify/assess, observe, (controller,) train.  Because the step order
-and component construction both match the sweep layer
-(:func:`repro.sweep.executor.build_cell_predictor` et al.), a served
-trace's per-branch decision stream is bit-identical to the offline
+adaptive controller when requested), advanced one observed batch at a
+time by the reference stepper :func:`repro.sim.engine.step` — predict,
+classify/assess, observe, (controller,) train.  The cell comes from the
+one cell builder, :func:`repro.sim.runner.build_cell`, exactly as the
+equivalent sweep job's does, so a served trace's per-branch decision
+stream is bit-identical to the offline
 :func:`repro.sim.engine.simulate` / :func:`simulate_binary` replay of
 the same (predictor, estimator, trace) cell — the property
 :func:`repro.serve.driver.differential_check` enforces.
@@ -21,22 +21,16 @@ HELLO is rejected before any state is allocated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
-from repro.confidence.adaptive import AdaptiveSaturationController
-from repro.confidence.estimator import TageConfidenceEstimator
-from repro.confidence.classes import confidence_level_of
 from repro.sim.backends import Capability, Cell, get_backend
-from repro.sim.observe import OBSERVATION_CLASS_CODES
-from repro.sweep.executor import build_cell_binary_estimator, build_cell_predictor
+from repro.sim.engine import mispredicted_of, step
+from repro.sim.runner import build_cell
 from repro.sweep.spec import EstimatorSpec, PredictorSpec
 
 __all__ = ["SessionSpec", "TenantSession"]
-
-_CODE_OF_CLASS = {
-    prediction_class: code
-    for code, prediction_class in enumerate(OBSERVATION_CLASS_CODES)
-}
 
 
 @dataclass(frozen=True)
@@ -68,8 +62,23 @@ class SessionSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.tenant or any(c.isspace() for c in self.tenant):
+        # HELLO payloads are decoded JSON: check types before use, so a
+        # wrong-typed field is a ValueError (an ERR_BAD_REQUEST reply),
+        # never a TypeError out of the reader.
+        if (not isinstance(self.tenant, str) or not self.tenant
+                or any(c.isspace() for c in self.tenant)):
             raise ValueError(f"invalid tenant name {self.tenant!r}")
+        for name in ("predictor", "estimator"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if not isinstance(self.adaptive, bool):
+            raise ValueError(f"adaptive must be a bool, got {self.adaptive!r}")
+        if (isinstance(self.target_mkp, bool) or not isinstance(self.target_mkp, Real)
+                or not math.isfinite(self.target_mkp)):
+            raise ValueError(f"target_mkp must be a finite number, got {self.target_mkp!r}")
+        if self.seed is not None and (
+                isinstance(self.seed, bool) or not isinstance(self.seed, int)):
+            raise ValueError(f"seed must be an integer or None, got {self.seed!r}")
         predictor = PredictorSpec.parse(self.predictor)  # raises on bad token
         estimator = EstimatorSpec.of(self.estimator)
         if not estimator.compatible_with(predictor):
@@ -106,29 +115,12 @@ class SessionSpec:
         differential-check replay can never disagree about backend
         support.
         """
-        predictor = build_cell_predictor(
-            self.predictor_spec, adaptive=self.adaptive, seed=self.seed
-        )
-        if self.estimator_spec.kind == "tage":
-            controller = (
-                AdaptiveSaturationController(predictor, target_mkp=self.target_mkp)
-                if self.adaptive
-                else None
-            )
-            cell = Cell(
-                predictor=predictor,
-                estimator=TageConfidenceEstimator(predictor),
-                controller=controller,
-            )
-        else:
-            cell = Cell(
-                predictor=predictor,
-                estimator=build_cell_binary_estimator(
-                    self.estimator_spec, predictor
-                ),
-                binary=True,
-            )
-        return get_backend(backend).capability(cell)
+        return get_backend(backend).capability(self.build_cell())
+
+    def build_cell(self) -> Cell:
+        """A fresh power-on cell for this session, via the one cell builder."""
+        return build_cell(self.predictor_spec, self.estimator_spec,
+                          self.adaptive, self.target_mkp, self.seed)
 
     def as_dict(self) -> dict:
         """Plain-data wire form (the HELLO payload)."""
@@ -163,21 +155,7 @@ class TenantSession:
 
     def __init__(self, spec: SessionSpec) -> None:
         self.spec = spec
-        predictor_spec = spec.predictor_spec
-        self.predictor = build_cell_predictor(
-            predictor_spec, adaptive=spec.adaptive, seed=spec.seed
-        )
-        self.controller = None
-        if spec.estimator_spec.kind == "tage":
-            self.estimator = TageConfidenceEstimator(self.predictor)
-            if spec.adaptive:
-                self.controller = AdaptiveSaturationController(
-                    self.predictor, target_mkp=spec.target_mkp
-                )
-        else:
-            self.estimator = build_cell_binary_estimator(
-                spec.estimator_spec, self.predictor
-            )
+        self.cell = spec.build_cell()
         self.n_observed = 0
         self.mispredictions = 0
 
@@ -186,52 +164,12 @@ class TenantSession:
 
         Returns parallel byte columns ``(predictions, codes)`` — codes
         are §5 observation-class codes for multi-class sessions, the
-        high-confidence flag for binary ones.  The per-branch step order
-        replicates :func:`repro.sim.engine.simulate` (multi-class) and
-        :func:`simulate_binary` (binary) exactly.
+        high-confidence flag for binary ones — as stepped by
+        :func:`repro.sim.engine.step`.
         """
-        predictions = bytearray()
-        codes = bytearray()
-        predictor = self.predictor
-        predict = predictor.predict
-        train = predictor.train
-        mispredictions = 0
-        if self.spec.is_binary:
-            assess = self.estimator.assess
-            observe = self.estimator.observe
-            for pc, taken_byte in zip(pcs, takens):
-                taken = taken_byte == 1
-                prediction = predict(pc)
-                high = assess(pc, prediction)
-                if prediction != taken:
-                    mispredictions += 1
-                observe(pc, prediction, taken)
-                train(pc, taken)
-                predictions.append(1 if prediction else 0)
-                codes.append(1 if high else 0)
-        else:
-            classify = self.estimator.classify
-            observe = self.estimator.observe
-            controller = self.controller
-            code_of = _CODE_OF_CLASS
-            for pc, taken_byte in zip(pcs, takens):
-                taken = taken_byte == 1
-                prediction = predict(pc)
-                mispredicted = prediction != taken
-                if mispredicted:
-                    mispredictions += 1
-                observation = predictor.last_prediction
-                prediction_class = classify(observation)
-                observe(observation, taken)
-                if controller is not None:
-                    controller.observe(
-                        confidence_level_of(prediction_class), mispredicted
-                    )
-                train(pc, taken)
-                predictions.append(1 if prediction else 0)
-                codes.append(code_of[prediction_class])
+        predictions, codes = step(self.cell, pcs, takens)
         self.n_observed += len(predictions)
-        self.mispredictions += mispredictions
+        self.mispredictions += sum(mispredicted_of(predictions, takens))
         return bytes(predictions), bytes(codes)
 
     def stats(self) -> dict:

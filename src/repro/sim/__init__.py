@@ -1,6 +1,7 @@
 """Trace-driven simulation and experiment harness.
 
-* :mod:`repro.sim.engine` — the per-branch simulation loops:
+* :mod:`repro.sim.engine` — the reference engine: the one per-branch
+  stepper :func:`~repro.sim.engine.step` and its aggregations
   :func:`simulate` (TAGE + multi-class confidence observation) and
   :func:`simulate_binary` (any predictor + a binary high/low estimator).
 * :mod:`repro.sim.backends` — the ``"reference"`` / ``"fast"`` backend
@@ -10,8 +11,9 @@
 * :mod:`repro.sim.observe` — per-branch observation streams (the apps
   layer's replay input), produced on either backend.
 * :mod:`repro.sim.stats` — suite-level aggregation.
-* :mod:`repro.sim.runner` — suite × configuration sweeps used by the
-  benches (one call per paper table/figure).
+* :mod:`repro.sim.runner` — trace lookup, predictor presets, the one
+  cell builder :func:`~repro.sim.runner.build_cell` and
+  :func:`run_trace`.
 * :mod:`repro.sim.report` — ASCII rendering of the paper's tables and
   figure series.
 """
@@ -25,12 +27,7 @@ from repro.sim.backends import (
 )
 from repro.sim.engine import SimulationResult, simulate, simulate_binary
 from repro.sim.observe import ObservationStream, observe_trace
-from repro.sim.runner import (
-    build_predictor,
-    run_suite,
-    run_trace,
-    suite_traces,
-)
+from repro.sim.runner import build_predictor, run_trace
 from repro.sim.stats import SuiteSummary, summarize
 from repro.sim.report import render_table
 
@@ -46,10 +43,8 @@ __all__ = [
     "validate_backend",
     "build_predictor",
     "render_table",
-    "run_suite",
     "run_trace",
     "simulate",
     "simulate_binary",
-    "suite_traces",
     "summarize",
 ]

@@ -1,26 +1,36 @@
-"""Per-branch simulation loops.
+"""The reference engine: one per-branch stepper and its aggregations.
 
-:func:`simulate` drives a TAGE predictor over a trace while a
-:class:`~repro.confidence.estimator.TageConfidenceEstimator` observes
-every prediction; the result carries both overall accuracy (misp/KI, the
-paper's Table 1 metric) and the per-class / per-level breakdowns behind
-every other table and figure.
+:func:`step` is the single statement of the per-branch step order this
+repo reproduces — predict, classify (multi-class) or assess (binary),
+observe, the §6.2 controller, train — over a live
+:class:`~repro.sim.backends.Cell`.  Every reference path is a caller:
 
-:func:`simulate_binary` is the equivalent loop for binary high/low
-estimators (JRS, enhanced JRS, perceptron/O-GEHL self-confidence) over
-any :class:`~repro.predictors.base.BranchPredictor`.
+* :func:`simulate` drives a TAGE predictor while a
+  :class:`~repro.confidence.estimator.TageConfidenceEstimator` observes
+  every prediction; the result carries both overall accuracy (misp/KI,
+  the paper's Table 1 metric) and the per-class / per-level breakdowns
+  behind every other table and figure.
+* :func:`simulate_binary` aggregates binary high/low estimators (JRS,
+  enhanced JRS, perceptron/O-GEHL self-confidence) over any
+  :class:`~repro.predictors.base.BranchPredictor`.
+* :func:`repro.sim.observe.observe_trace` returns the stepper's output
+  as the apps layer's observation stream.
+* :meth:`repro.serve.state.TenantSession.observe_batch` steps a
+  tenant's live cell, batch by batch.
 
-Both entry points accept ``backend="reference"`` (these loops, the
-semantic ground truth) or ``backend="fast"`` (the vectorized batch
-engine in :mod:`repro.sim.fast`, bit-for-bit equivalent where it
-applies).  A configuration the fast backend cannot vectorize falls back
-to the reference loop with a
-:class:`~repro.sim.backends.FastBackendFallbackWarning`.
+The two simulate entry points accept ``backend="reference"`` (the
+stepper, the semantic ground truth) or ``backend="fast"`` (the
+vectorized batch engine in :mod:`repro.sim.fast`, bit-for-bit
+equivalent where it applies).  A configuration the fast backend cannot
+vectorize falls back to the reference engine with a
+:class:`~repro.sim.backends.FastBackendFallbackWarning`.  This module
+stays NumPy-free.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.sim.backends import (
@@ -41,7 +51,133 @@ from repro.confidence.classes import (
 )
 from repro.confidence.metrics import BinaryConfidenceMetrics, ClassBreakdown, mkp
 
-__all__ = ["SimulationResult", "simulate", "simulate_binary"]
+__all__ = [
+    "OBSERVATION_CLASS_CODES",
+    "SimulationResult",
+    "class_breakdown",
+    "mispredicted_of",
+    "simulate",
+    "simulate_binary",
+    "step",
+]
+
+#: Class-code encoding shared by the stepper, the fast TAGE kernel and
+#: the serving wire: ``OBSERVATION_CLASS_CODES[code]`` is the class of
+#: code.
+OBSERVATION_CLASS_CODES: tuple[PredictionClass, ...] = (
+    PredictionClass.HIGH_CONF_BIM,
+    PredictionClass.LOW_CONF_BIM,
+    PredictionClass.MEDIUM_CONF_BIM,
+    PredictionClass.STAG,
+    PredictionClass.NSTAG,
+    PredictionClass.NWTAG,
+    PredictionClass.WTAG,
+)
+
+_CODE_OF_CLASS = {
+    prediction_class: code
+    for code, prediction_class in enumerate(OBSERVATION_CLASS_CODES)
+}
+
+_CODES = range(len(OBSERVATION_CLASS_CODES))
+
+_LEVEL_OF_CODE = tuple(
+    confidence_level_of(prediction_class)
+    for prediction_class in OBSERVATION_CLASS_CODES
+)
+
+
+def _confidence_step(cell: Cell, codes: list):
+    """The per-branch confidence step of ``cell``'s protocol.
+
+    It runs between predict and train and appends the branch's code to
+    ``codes``: the observation-class code (after which the §6.2
+    controller, when attached, sees the branch's level) for the
+    multi-class protocol, the high-confidence flag for the binary one,
+    nothing without an estimator.
+    """
+    estimator = cell.estimator
+    if estimator is None:
+        return lambda pc, prediction, taken: None
+    emit = codes.append
+    observe = estimator.observe
+    if cell.binary:
+        assess = estimator.assess
+
+        def assess_step(pc, prediction, taken):
+            emit(assess(pc, prediction))
+            observe(pc, prediction, taken)
+
+        return assess_step
+
+    predictor = cell.predictor
+    classify = estimator.classify
+    code_of = _CODE_OF_CLASS
+    level_of = _LEVEL_OF_CODE
+    adapt = cell.controller.observe if cell.controller is not None else None
+
+    def observe_step(pc, prediction, taken):
+        observation = predictor.last_prediction
+        code = code_of[classify(observation)]
+        emit(code)
+        observe(observation, taken)
+        if adapt is not None:
+            adapt(level_of[code], prediction != taken)
+
+    return observe_step
+
+
+def step(cell: Cell, pcs, takens) -> tuple[list[bool], list | None]:
+    """Advance a live cell over a run of branches, in the reference order.
+
+    Per branch: predict, classify (or assess), observe, the §6.2
+    controller, train.  The protocol is picked once per call from the
+    cell; the cell's components are mutated in place, so consecutive
+    calls continue where the previous one stopped.  Warm-up is the
+    caller's business.
+
+    Returns the per-branch predictions and codes: observation-class
+    codes (indices into :data:`OBSERVATION_CLASS_CODES`) for the
+    multi-class protocol, high-confidence flags for ``cell.binary``,
+    ``None`` when the cell has no estimator.
+    """
+    predictor = cell.predictor
+    predict = predictor.predict
+    train = predictor.train
+    predictions: list[bool] = []
+    emit = predictions.append
+    codes: list = []
+    confide = _confidence_step(cell, codes)
+    for pc, taken_byte in zip(pcs, takens):
+        taken = taken_byte == 1
+        prediction = predict(pc)
+        emit(prediction)
+        confide(pc, prediction, taken)
+        train(pc, taken)
+    return predictions, (codes if cell.estimator is not None else None)
+
+
+def mispredicted_of(predictions, takens) -> list[bool]:
+    """Per-branch misprediction flags of a prediction run."""
+    return [
+        prediction != (taken == 1)
+        for prediction, taken in zip(predictions, takens)
+    ]
+
+
+def class_breakdown(pred_counts, misp_counts) -> ClassBreakdown[PredictionClass]:
+    """The per-class breakdown from per-code prediction and misprediction
+    counts (indexed like :data:`OBSERVATION_CLASS_CODES`); both engines
+    build their ``SimulationResult.classes`` here."""
+    classes: ClassBreakdown[PredictionClass] = ClassBreakdown()
+    for code, prediction_class in enumerate(OBSERVATION_CLASS_CODES):
+        total = pred_counts[code]
+        misses = misp_counts[code]
+        if total - misses:
+            classes.record(prediction_class, mispredicted=False, count=total - misses)
+        if misses:
+            classes.record(prediction_class, mispredicted=True, count=misses)
+    return classes
 
 
 def _dispatch_fast(entry_point: str, kwargs: dict, binary: bool = False):
@@ -256,39 +392,19 @@ def simulate(
         ))
         if outcome is not None:
             return outcome
-    classes: ClassBreakdown[PredictionClass] | None = (
-        ClassBreakdown() if estimator is not None else None
+    predictions, codes = step(
+        Cell(predictor=predictor, estimator=estimator, controller=controller),
+        trace.pcs,
+        trace.takens,
     )
-    mispredictions = 0
-    predict = predictor.predict
-    train = predictor.train
-
-    if estimator is None:
-        for pc, taken_byte in zip(trace.pcs, trace.takens):
-            taken = taken_byte == 1
-            if predict(pc) != taken:
-                mispredictions += 1
-            train(pc, taken)
-    else:
-        classify = estimator.classify
-        observe = estimator.observe
-        record = classes.record
-        index = 0
-        for pc, taken_byte in zip(trace.pcs, trace.takens):
-            taken = taken_byte == 1
-            prediction = predict(pc)
-            mispredicted = prediction != taken
-            if mispredicted:
-                mispredictions += 1
-            observation = predictor.last_prediction
-            prediction_class = classify(observation)
-            if index >= warmup_branches:
-                record(prediction_class, mispredicted)
-            observe(observation, taken)
-            if controller is not None:
-                controller.observe(confidence_level_of(prediction_class), mispredicted)
-            train(pc, taken)
-            index += 1
+    mispredicted = mispredicted_of(predictions, trace.takens)
+    classes = None
+    if codes is not None:
+        counts = Counter(zip(codes[warmup_branches:], mispredicted[warmup_branches:]))
+        classes = class_breakdown(
+            [counts[code, False] + counts[code, True] for code in _CODES],
+            [counts[code, True] for code in _CODES],
+        )
 
     final_k = None
     if controller is not None:
@@ -298,7 +414,7 @@ def simulate(
         predictor_name=getattr(predictor, "name", type(predictor).__name__),
         n_branches=len(trace),
         n_instructions=trace.total_instructions,
-        mispredictions=mispredictions,
+        mispredictions=sum(mispredicted),
         storage_bits=predictor.storage_bits(),
         classes=classes,
         final_sat_prob_log2=final_k,
@@ -340,41 +456,25 @@ def simulate_binary(
         ), binary=True)
         if outcome is not None:
             return outcome
-    high_correct = high_incorrect = low_correct = low_incorrect = 0
-    mispredictions = 0
-    predict = predictor.predict
-    train = predictor.train
-    assess = estimator.assess
-    observe = estimator.observe
-
-    index = 0
-    for pc, taken_byte in zip(trace.pcs, trace.takens):
-        taken = taken_byte == 1
-        prediction = predict(pc)
-        high = assess(pc, prediction)
-        correct = prediction == taken
-        if not correct:
-            mispredictions += 1
-        if index >= warmup_branches:
-            if high and correct:
-                high_correct += 1
-            elif high:
-                high_incorrect += 1
-            elif correct:
-                low_correct += 1
-            else:
-                low_incorrect += 1
-        observe(pc, prediction, taken)
-        train(pc, taken)
-        index += 1
-
-    metrics = BinaryConfidenceMetrics(high_correct, high_incorrect, low_correct, low_incorrect)
+    predictions, highs = step(
+        Cell(predictor=predictor, estimator=estimator, binary=True),
+        trace.pcs,
+        trace.takens,
+    )
+    mispredicted = mispredicted_of(predictions, trace.takens)
+    counts = Counter(zip(highs[warmup_branches:], mispredicted[warmup_branches:]))
+    metrics = BinaryConfidenceMetrics(
+        high_correct=counts[True, False],
+        high_incorrect=counts[True, True],
+        low_correct=counts[False, False],
+        low_incorrect=counts[False, True],
+    )
     result = SimulationResult(
         trace_name=trace.name,
         predictor_name=getattr(predictor, "name", type(predictor).__name__),
         n_branches=len(trace),
         n_instructions=trace.total_instructions,
-        mispredictions=mispredictions,
+        mispredictions=sum(mispredicted),
         storage_bits=predictor.storage_bits(),
     )
     return metrics, result

@@ -48,12 +48,14 @@ import numpy as np
 from repro.confidence.adaptive import AdaptiveSaturationController
 from repro.confidence.classes import ConfidenceLevel, confidence_level_of
 from repro.confidence.estimator import TageConfidenceEstimator
-from repro.confidence.metrics import ClassBreakdown
 from repro.predictors.tage.config import AUTOMATON_PROBABILISTIC
 from repro.predictors.tage.predictor import TagePredictor
 from repro.sim.backends import FastBackendUnsupported
-from repro.sim.engine import SimulationResult
-from repro.sim.observe import OBSERVATION_CLASS_CODES
+from repro.sim.engine import (
+    OBSERVATION_CLASS_CODES,
+    SimulationResult,
+    class_breakdown,
+)
 from repro.sim.fast import compiled
 from repro.sim.fast.arrays import TraceArrays
 from repro.sim.fast.planes import (
@@ -74,16 +76,12 @@ __all__ = [
 _MASK32 = 0xFFFFFFFF
 _LFSR_TAPS = 0xA3000000
 
-#: Kernel class codes → :class:`PredictionClass`, in code order (the
-#: encoding is shared with :mod:`repro.sim.observe` streams).
-_CLASS_OF_CODE = OBSERVATION_CLASS_CODES
-
 #: Class codes the §6.2 controller counts (HIGH = high-conf-bim ∪ Stag),
 #: derived from the canonical level mapping so the kernel can never
 #: disagree with ``confidence_level_of``.
 _HIGH_CLASS_CODES = frozenset(
     code
-    for code, prediction_class in enumerate(_CLASS_OF_CODE)
+    for code, prediction_class in enumerate(OBSERVATION_CLASS_CODES)
     if confidence_level_of(prediction_class) is ConfidenceLevel.HIGH
 )
 
@@ -620,17 +618,6 @@ def _assemble_result(trace, predictor, estimator, controller,
     """One cell's :func:`_run_batch` output as a SimulationResult."""
     mispredictions, pred_counts, misp_counts, _, _, final_k = cell_result
 
-    classes: ClassBreakdown | None = None
-    if estimator is not None:
-        classes = ClassBreakdown()
-        for code, prediction_class in enumerate(_CLASS_OF_CODE):
-            total = pred_counts[code]
-            misses = misp_counts[code]
-            if total - misses:
-                classes.record(prediction_class, mispredicted=False, count=total - misses)
-            if misses:
-                classes.record(prediction_class, mispredicted=True, count=misses)
-
     return SimulationResult(
         trace_name=trace.name,
         predictor_name=predictor.name,
@@ -638,7 +625,11 @@ def _assemble_result(trace, predictor, estimator, controller,
         n_instructions=trace.total_instructions,
         mispredictions=mispredictions,
         storage_bits=predictor.storage_bits(),
-        classes=classes,
+        classes=(
+            class_breakdown(pred_counts, misp_counts)
+            if estimator is not None
+            else None
+        ),
         final_sat_prob_log2=final_k if controller is not None else None,
     )
 
@@ -699,7 +690,7 @@ def observe_tage_fast(
 ) -> tuple[list[bool], list[int]]:
     """Per-branch (predictions, observation class codes) of one trace.
 
-    The code encoding is :data:`repro.sim.observe.OBSERVATION_CLASS_CODES`;
+    The code encoding is :data:`repro.sim.engine.OBSERVATION_CLASS_CODES`;
     this is the fast producer behind
     :func:`repro.sim.observe.observe_trace` and therefore the apps layer.
 

@@ -4,10 +4,11 @@ The apps layer (fetch gating, SMT fetch arbitration, multipath
 execution) consumes the same per-branch signal the confidence tables
 aggregate: *(prediction, mispredicted, observation class)* for every
 branch of a trace, in trace order.  :func:`observe_trace` produces that
-stream on either simulation backend — the reference per-branch loop
-here, or the fast TAGE kernel (which already has every value in hand
-and only needs to emit it) — so the policy models themselves become
-pure replay passes with no predictor in the loop.
+stream on either simulation backend — the output of the reference
+stepper :func:`repro.sim.engine.step`, or the fast TAGE kernel (which
+already has every value in hand and only needs to emit it) — so the
+policy models themselves become pure replay passes with no predictor in
+the loop.
 
 The stream encodes observation classes as small integer codes
 (:data:`OBSERVATION_CLASS_CODES`, the same encoding the fast kernel
@@ -20,37 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.confidence.classes import (
-    ConfidenceLevel,
-    PredictionClass,
-    confidence_level_of,
+from repro.confidence.classes import ConfidenceLevel, PredictionClass
+from repro.sim.backends import DEFAULT_BACKEND, Cell, validate_backend
+from repro.sim.engine import (
+    OBSERVATION_CLASS_CODES,
+    _LEVEL_OF_CODE,
+    _dispatch_fast,
+    mispredicted_of,
+    step,
 )
-from repro.sim.backends import DEFAULT_BACKEND, validate_backend
-from repro.sim.engine import _dispatch_fast
 
 __all__ = ["OBSERVATION_CLASS_CODES", "ObservationStream", "observe_trace"]
-
-#: Class-code encoding shared by the reference stream loop and the fast
-#: TAGE kernel: ``OBSERVATION_CLASS_CODES[code]`` is the class of code.
-OBSERVATION_CLASS_CODES: tuple[PredictionClass, ...] = (
-    PredictionClass.HIGH_CONF_BIM,
-    PredictionClass.LOW_CONF_BIM,
-    PredictionClass.MEDIUM_CONF_BIM,
-    PredictionClass.STAG,
-    PredictionClass.NSTAG,
-    PredictionClass.NWTAG,
-    PredictionClass.WTAG,
-)
-
-_CODE_OF_CLASS = {
-    prediction_class: code
-    for code, prediction_class in enumerate(OBSERVATION_CLASS_CODES)
-}
-
-_LEVEL_OF_CODE = tuple(
-    confidence_level_of(prediction_class)
-    for prediction_class in OBSERVATION_CLASS_CODES
-)
 
 
 @dataclass
@@ -95,39 +76,6 @@ class ObservationStream:
         return sum(self.mispredicted)
 
 
-def _observe_reference(trace, predictor, estimator) -> ObservationStream:
-    """The per-branch reference loop, recording instead of aggregating.
-
-    Step order per branch matches :func:`repro.sim.engine.simulate` (and
-    the historical in-loop apps models): predict, classify, observe,
-    train — so the stream is exactly what a confidence-directed front
-    end would have seen.
-    """
-    predictions: list[bool] = []
-    mispredicted: list[bool] = []
-    class_codes: list[int] = []
-    predict = predictor.predict
-    train = predictor.train
-    classify = estimator.classify
-    observe = estimator.observe
-    code_of = _CODE_OF_CLASS
-    for pc, taken_byte in zip(trace.pcs, trace.takens):
-        taken = taken_byte == 1
-        prediction = predict(pc)
-        observation = predictor.last_prediction
-        class_codes.append(code_of[classify(observation)])
-        predictions.append(prediction)
-        mispredicted.append(prediction != taken)
-        observe(observation, taken)
-        train(pc, taken)
-    return ObservationStream(
-        trace_name=trace.name,
-        predictions=predictions,
-        mispredicted=mispredicted,
-        class_codes=class_codes,
-    )
-
-
 def observe_trace(
     trace,
     predictor,
@@ -138,13 +86,17 @@ def observe_trace(
     """The per-branch observation stream of one trace × predictor ×
     estimator cell, on either backend.
 
-    ``backend="fast"`` reads the stream off the fast TAGE kernel
-    (bit-for-bit identical; the predictor and estimator instances stay
-    in their power-on state) and falls back here with a
+    ``backend="reference"`` is :func:`repro.sim.engine.step`'s output
+    (predict, classify, observe, train per branch — exactly what a
+    confidence-directed front end would have seen).  ``backend="fast"``
+    reads the stream off the fast TAGE kernel (bit-for-bit identical;
+    the predictor and estimator instances stay in their power-on state)
+    and falls back to the stepper with a
     :class:`FastBackendFallbackWarning` for cells outside the fast
     family, mirroring :func:`repro.sim.engine.simulate`.
     """
     validate_backend(backend)
+    outcome = None
     if backend == "fast":
         outcome = _dispatch_fast("observe_tage_fast", dict(
             trace=trace,
@@ -152,16 +104,13 @@ def observe_trace(
             estimator=estimator,
             materialization=materialization_dir,
         ))
-        if outcome is not None:
-            predictions, codes = outcome
-            takens = trace.takens
-            return ObservationStream(
-                trace_name=trace.name,
-                predictions=predictions,
-                mispredicted=[
-                    prediction != (takens[index] == 1)
-                    for index, prediction in enumerate(predictions)
-                ],
-                class_codes=codes,
-            )
-    return _observe_reference(trace, predictor, estimator)
+    if outcome is None:
+        outcome = step(Cell(predictor=predictor, estimator=estimator),
+                       trace.pcs, trace.takens)
+    predictions, codes = outcome
+    return ObservationStream(
+        trace_name=trace.name,
+        predictions=predictions,
+        mispredicted=mispredicted_of(predictions, trace.takens),
+        class_codes=codes,
+    )

@@ -1,21 +1,33 @@
-"""Suite × configuration sweeps.
+"""Trace lookup, predictor presets and the one cell builder.
 
 Thin composition layer between the trace registry, the predictor presets
-and the simulation engine; each paper table/figure bench is one or a few
-calls into this module.
+and the simulation engine.  :func:`build_cell` is the single place a
+(predictor, estimator, controller) :class:`~repro.sim.backends.Cell` is
+built from its specs: sweep jobs, lockstep batches, capability probes,
+serving sessions and :func:`run_trace` all go through it, so a cell is
+constructed identically wherever it runs.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.confidence.adaptive import AdaptiveSaturationController
 from repro.confidence.estimator import TageConfidenceEstimator
+from repro.confidence.jrs import EnhancedJrsEstimator, JrsEstimator
+from repro.confidence.self_confidence import SelfConfidenceEstimator
+from repro.predictors.bimodal import BimodalPredictor
+from repro.predictors.gshare import GsharePredictor
+from repro.predictors.local import LocalHistoryPredictor
+from repro.predictors.ogehl import OgehlPredictor
+from repro.predictors.perceptron import PerceptronPredictor
 from repro.predictors.tage.config import (
     AUTOMATON_PROBABILISTIC,
     AUTOMATON_STANDARD,
     TageConfig,
 )
 from repro.predictors.tage.predictor import TagePredictor
-from repro.sim.backends import DEFAULT_BACKEND
+from repro.sim.backends import DEFAULT_BACKEND, Cell
 from repro.sim.engine import SimulationResult, simulate
 from repro.traces.sources import is_source_name, resolve_trace
 from repro.traces.suites import (
@@ -27,12 +39,14 @@ from repro.traces.suites import (
 )
 from repro.traces.types import Trace
 
+if TYPE_CHECKING:
+    from repro.sweep.spec import EstimatorSpec, PredictorSpec
+
 __all__ = [
+    "build_cell",
     "build_predictor",
     "get_trace",
     "run_trace",
-    "run_suite",
-    "suite_traces",
     "SUITES",
     "SIZES",
 ]
@@ -86,19 +100,69 @@ def build_predictor(
     return TagePredictor(config)
 
 
-def suite_traces(
-    suite: str,
-    n_branches: int | None = None,
-    names: tuple[str, ...] | None = None,
-) -> list[Trace]:
-    """Traces of a named suite (optionally a subset, in the given order)."""
-    if suite == "CBP1":
-        selected = names or CBP1_TRACE_NAMES
-        return [cbp1_trace(name, n_branches) for name in selected]
-    if suite == "CBP2":
-        selected = names or CBP2_TRACE_NAMES
-        return [cbp2_trace(name, n_branches) for name in selected]
-    raise KeyError(f"unknown suite {suite!r}; choose from {SUITES}")
+_BASELINE_PREDICTORS = {
+    "gshare": GsharePredictor,
+    "bimodal": BimodalPredictor,
+    "perceptron": PerceptronPredictor,
+    "ogehl": OgehlPredictor,
+    "local": LocalHistoryPredictor,
+}
+
+_BINARY_ESTIMATORS = {
+    "jrs": JrsEstimator,
+    "ejrs": EnhancedJrsEstimator,
+}
+
+
+def build_cell(
+    predictor: PredictorSpec,
+    estimator: EstimatorSpec,
+    adaptive: bool = False,
+    target_mkp: float = 10.0,
+    seed: int | None = None,
+) -> Cell:
+    """Instantiate one (predictor, estimator, controller) cell.
+
+    ``adaptive`` attaches the §6.2 controller (``tage`` estimator only)
+    and forces the probabilistic automaton it steers.  A non-None
+    ``seed`` re-seeds the TAGE deterministic random sources (LFSR +
+    allocation xorshift); the baseline predictors hold no random state.
+    Binary estimators (``jrs``/``ejrs``/``self``) yield a
+    ``binary=True`` cell.
+    """
+    params = dict(predictor.params)
+    if predictor.kind == "tage":
+        automaton = AUTOMATON_PROBABILISTIC if adaptive else predictor.automaton
+        if seed is not None:
+            # Two independent 32-bit streams from one seed; the constants
+            # are arbitrary odd masks keeping the seeds nonzero.
+            params.setdefault("lfsr_seed", (seed ^ 0xA5A5A5A5) or 1)
+            params.setdefault("alloc_seed", (seed ^ 0x3C6EF373) or 1)
+        model = build_predictor(
+            predictor.size,
+            automaton=automaton,
+            sat_prob_log2=predictor.sat_prob_log2,
+            **params,
+        )
+    else:
+        model = _BASELINE_PREDICTORS[predictor.kind](**params)
+
+    estimator_params = dict(estimator.params)
+    if estimator.kind == "tage":
+        return Cell(
+            predictor=model,
+            estimator=TageConfidenceEstimator(model, **estimator_params),
+            controller=(
+                AdaptiveSaturationController(model, target_mkp=target_mkp)
+                if adaptive
+                else None
+            ),
+        )
+    if estimator.kind == "self":
+        binary_estimator = SelfConfidenceEstimator(model, **estimator_params)
+    else:
+        binary_estimator = _BINARY_ESTIMATORS[estimator.kind](**estimator_params)
+    return Cell(predictor=model, estimator=binary_estimator, binary=True)
 
 
 def run_trace(
@@ -127,41 +191,27 @@ def run_trace(
     kernel with an identical decision/LFSR stream — on the plane-fed
     kernel.
     """
-    if adaptive:
-        automaton = AUTOMATON_PROBABILISTIC
-    predictor = build_predictor(
-        size, automaton=automaton, sat_prob_log2=sat_prob_log2, **config_overrides
-    )
-    estimator = TageConfidenceEstimator(predictor, bim_miss_window=bim_miss_window)
-    controller = (
-        AdaptiveSaturationController(predictor, target_mkp=target_mkp) if adaptive else None
+    # Imported here: the sweep package imports this module.
+    from repro.sweep.spec import EstimatorSpec, PredictorSpec
+
+    cell = build_cell(
+        PredictorSpec.of(
+            "tage",
+            size=size,
+            automaton=automaton,
+            sat_prob_log2=sat_prob_log2,
+            **config_overrides,
+        ),
+        EstimatorSpec.of("tage", bim_miss_window=bim_miss_window),
+        adaptive=adaptive,
+        target_mkp=target_mkp,
     )
     return simulate(
         trace,
-        predictor,
-        estimator=estimator,
-        controller=controller,
+        cell.predictor,
+        estimator=cell.estimator,
+        controller=cell.controller,
         warmup_branches=warmup_branches,
         backend=backend,
         materialization_dir=materialization_dir,
     )
-
-
-def run_suite(
-    suite: str,
-    size: str = "64K",
-    automaton: str = AUTOMATON_STANDARD,
-    n_branches: int | None = None,
-    names: tuple[str, ...] | None = None,
-    **run_kwargs,
-) -> list[SimulationResult]:
-    """Simulate every trace of a suite on a given preset.
-
-    Each trace gets a fresh predictor (the paper simulates traces
-    independently).  Extra keyword arguments are forwarded to
-    :func:`run_trace`.
-    """
-    return [
-        run_trace(trace, size=size, automaton=automaton, **run_kwargs)
-        for trace in suite_traces(suite, n_branches=n_branches, names=names)
-    ]

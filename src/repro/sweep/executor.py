@@ -3,10 +3,12 @@
 :func:`execute_job` is the picklable unit of work: it takes one
 :class:`~repro.sweep.spec.JobSpec` (pure data), regenerates the named
 trace inside the worker process (trace synthesis is deterministic and
-memoized per process, so nothing large crosses the pipe), instantiates
-the predictor/estimator pair and runs the matching engine loop on the
-job's backend — vectorized batch execution for ``backend="fast"`` cells
-the fast engine supports, the per-branch reference loop (after a
+memoized per process, so nothing large crosses the pipe), builds the
+job's cell with :func:`repro.sim.runner.build_cell` — the one cell
+builder, shared with lockstep batches, the capability pre-pass and the
+serving layer — and runs it on the job's backend: vectorized batch
+execution for ``backend="fast"`` cells the fast engine supports, the
+reference stepper :func:`repro.sim.engine.step` (after a
 :class:`~repro.sim.backends.FastBackendFallbackWarning`) for the rest.
 
 :func:`run_sweep` drives a whole :class:`ExperimentSpec`: expand the
@@ -50,16 +52,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from repro.confidence.adaptive import AdaptiveSaturationController
-from repro.confidence.estimator import TageConfidenceEstimator
-from repro.confidence.jrs import EnhancedJrsEstimator, JrsEstimator
-from repro.confidence.self_confidence import SelfConfidenceEstimator
-from repro.predictors.bimodal import BimodalPredictor
-from repro.predictors.gshare import GsharePredictor
-from repro.predictors.local import LocalHistoryPredictor
-from repro.predictors.ogehl import OgehlPredictor
-from repro.predictors.perceptron import PerceptronPredictor
-from repro.predictors.tage.config import AUTOMATON_PROBABILISTIC
 from repro.sim.backends import (
     Capability,
     Cell,
@@ -68,7 +60,7 @@ from repro.sim.backends import (
     load_fast_engine,
 )
 from repro.sim.engine import simulate, simulate_binary
-from repro.sim.runner import build_predictor, get_trace
+from repro.sim.runner import build_cell, get_trace
 from repro.sweep.broker import (
     Broker,
     BrokerConfig,
@@ -103,29 +95,15 @@ __all__ = [
     "SweepRun",
     "SweepInterrupted",
     "QuarantinedJob",
-    "LOCKSTEP_ENV",
     "LOCKSTEP_MAX_BATCH",
     "default_workers",
     "default_journal_dir",
-    "build_cell_predictor",
-    "build_cell_binary_estimator",
 ]
-
-#: Opt-out switch for lockstep batching (``0``/``off``/``false`` disable).
-LOCKSTEP_ENV = "REPRO_LOCKSTEP"
 
 #: Largest lockstep batch the planner builds.  Bounds per-unit memory
 #: (each cell owns a full table set inside the kernel) and keeps enough
 #: independent units for the worker pool to stay busy.
 LOCKSTEP_MAX_BATCH = 16
-
-_BASELINE_PREDICTORS = {
-    "gshare": GsharePredictor,
-    "bimodal": BimodalPredictor,
-    "perceptron": PerceptronPredictor,
-    "ogehl": OgehlPredictor,
-    "local": LocalHistoryPredictor,
-}
 
 
 def default_workers() -> int:
@@ -137,90 +115,39 @@ def default_workers() -> int:
     return max(2, os.cpu_count() or 1)
 
 
-def _build_predictor(spec: PredictorSpec, adaptive: bool, seed: int | None):
-    """Instantiate the predictor for one job.
-
-    A non-None per-job seed re-seeds the TAGE deterministic random
-    sources (LFSR + allocation xorshift); the baseline predictors hold
-    no random state.
-    """
-    params = dict(spec.params)
-    if spec.kind == "tage":
-        automaton = AUTOMATON_PROBABILISTIC if adaptive else spec.automaton
-        if seed is not None:
-            # Two independent 32-bit streams from one job seed; the
-            # constants are arbitrary odd masks keeping the seeds nonzero.
-            params.setdefault("lfsr_seed", (seed ^ 0xA5A5A5A5) or 1)
-            params.setdefault("alloc_seed", (seed ^ 0x3C6EF373) or 1)
-        return build_predictor(
-            spec.size,
-            automaton=automaton,
-            sat_prob_log2=spec.sat_prob_log2,
-            **params,
-        )
-    return _BASELINE_PREDICTORS[spec.kind](**params)
-
-
-def _build_binary_estimator(spec: EstimatorSpec, predictor):
-    params = dict(spec.params)
-    if spec.kind == "jrs":
-        return JrsEstimator(**params)
-    if spec.kind == "ejrs":
-        return EnhancedJrsEstimator(**params)
-    return SelfConfidenceEstimator(predictor, **params)  # "self"
-
-
-def build_cell_predictor(spec: PredictorSpec, adaptive: bool = False,
-                         seed: int | None = None):
-    """Public entry to the per-cell predictor instantiation.
-
-    The serving layer (:mod:`repro.serve`) builds tenant state through
-    this so a served (predictor, estimator) cell is constructed exactly
-    like the equivalent sweep job — same presets, same seed derivation.
-    """
-    return _build_predictor(spec, adaptive, seed)
-
-
-def build_cell_binary_estimator(spec: EstimatorSpec, predictor):
-    """Public entry to the per-cell binary-estimator instantiation."""
-    return _build_binary_estimator(spec, predictor)
+def _cell_of(job: JobSpec) -> Cell:
+    """The job's live cell, via the one cell builder."""
+    return build_cell(job.predictor, job.estimator, job.adaptive,
+                      job.target_mkp, job.seed)
 
 
 def execute_job(job: JobSpec) -> JobResult:
     """Run one grid cell; pure function of the job spec (picklable)."""
     start = time.perf_counter()
     trace = get_trace(job.trace, job.n_branches)
-    predictor = _build_predictor(job.predictor, job.adaptive, job.seed)
-
-    if job.estimator.kind == "tage":
-        estimator = TageConfidenceEstimator(predictor, **dict(job.estimator.params))
-        controller = (
-            AdaptiveSaturationController(predictor, target_mkp=job.target_mkp)
-            if job.adaptive
-            else None
+    cell = _cell_of(job)
+    if cell.binary:
+        binary, result = simulate_binary(
+            trace,
+            cell.predictor,
+            cell.estimator,
+            warmup_branches=job.warmup_branches,
+            backend=job.backend,
+            materialization_dir=job.materialization_dir,
         )
+        estimator_bits = cell.estimator.storage_bits()
+    else:
         result = simulate(
             trace,
-            predictor,
-            estimator=estimator,
-            controller=controller,
+            cell.predictor,
+            estimator=cell.estimator,
+            controller=cell.controller,
             warmup_branches=job.warmup_branches,
             backend=job.backend,
             materialization_dir=job.materialization_dir,
         )
         binary = result.binary_confusion()
         estimator_bits = 0
-    else:
-        estimator = _build_binary_estimator(job.estimator, predictor)
-        binary, result = simulate_binary(
-            trace,
-            predictor,
-            estimator,
-            warmup_branches=job.warmup_branches,
-            backend=job.backend,
-            materialization_dir=job.materialization_dir,
-        )
-        estimator_bits = estimator.storage_bits()
 
     return JobResult(
         job=job,
@@ -248,18 +175,12 @@ def execute_batch(batch: LockstepBatch) -> tuple[JobResult, ...]:
     fast = load_fast_engine()
     cells = []
     for _, job in batch.members:
-        predictor = _build_predictor(job.predictor, job.adaptive, job.seed)
-        estimator = TageConfidenceEstimator(predictor, **dict(job.estimator.params))
-        controller = (
-            AdaptiveSaturationController(predictor, target_mkp=job.target_mkp)
-            if job.adaptive
-            else None
-        )
+        cell = _cell_of(job)
         cells.append(
             fast.LockstepCell(
-                predictor=predictor,
-                estimator=estimator,
-                controller=controller,
+                predictor=cell.predictor,
+                estimator=cell.estimator,
+                controller=cell.controller,
                 warmup_branches=job.warmup_branches,
             )
         )
@@ -304,7 +225,7 @@ def _lockstep_key(job: JobSpec, geometries: dict) -> tuple | None:
     cell = (job.predictor, job.adaptive)
     if cell not in geometries:
         fast = load_fast_engine()
-        predictor = _build_predictor(job.predictor, job.adaptive, None)
+        predictor = _cell_of(job).predictor
         geometries[cell] = fast.plane_geometry(predictor.config)
     return (job.trace, job.n_branches, job.materialization_dir,
             geometries[cell])
@@ -361,47 +282,6 @@ def plan_lockstep(
     return plan
 
 
-def _lockstep_enabled(lockstep: bool | None, faults: str) -> bool:
-    """Resolve the lockstep toggle: explicit arg > env > default-on.
-
-    Fault injection disables batching regardless: fault plans key on
-    job indices and fire per dispatched *unit*, so fusing jobs would
-    silently shift which jobs a plan hits.
-    """
-    if faults:
-        return False
-    if lockstep is not None:
-        return lockstep
-    return os.environ.get(LOCKSTEP_ENV, "").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
-
-
-def _job_cell(job: JobSpec) -> Cell:
-    """The capability-query cell for one grid job: throwaway component
-    instances built from the cell's specs, exactly as execution would
-    build them, so the pre-pass can never disagree with execution."""
-    predictor = _build_predictor(job.predictor, job.adaptive, job.seed)
-    if job.estimator.kind == "tage":
-        estimator = TageConfidenceEstimator(predictor, **dict(job.estimator.params))
-        controller = (
-            AdaptiveSaturationController(predictor, target_mkp=job.target_mkp)
-            if job.adaptive
-            else None
-        )
-        return Cell(predictor=predictor, estimator=estimator, controller=controller)
-    return Cell(
-        predictor=predictor,
-        estimator=_build_binary_estimator(job.estimator, predictor),
-        binary=True,
-    )
-
-
-def _fast_cell_capability(job: JobSpec) -> Capability:
-    """The fast backend's capability verdict for one grid cell."""
-    return get_backend("fast").capability(_job_cell(job))
-
-
 def _resolve_fast_fallbacks(
     pending: list[tuple[int, JobSpec]],
     progress: Callable[[str], None] | None = None,
@@ -424,7 +304,7 @@ def _resolve_fast_fallbacks(
             continue
         cell = (job.predictor, job.estimator, job.adaptive)
         if cell not in verdicts:
-            verdicts[cell] = _fast_cell_capability(job)
+            verdicts[cell] = get_backend("fast").capability(_cell_of(job))
         if verdicts[cell]:
             resolved.append((index, job))
         else:
@@ -574,7 +454,6 @@ def run_sweep(
     heartbeat_timeout: float = 30.0,
     faults: str | None = None,
     fsync_journal: bool = True,
-    lockstep: bool | None = None,
 ) -> SweepRun:
     """Execute every cell of a spec and aggregate the results.
 
@@ -608,12 +487,6 @@ def run_sweep(
             defaults to ``$REPRO_FAULTS``.
         fsync_journal: fsync each journal record (leave on outside
             tests; without it a crash can forget acknowledged progress).
-        lockstep: fuse fast-backend TAGE jobs sharing one trace's
-            planes into batched kernel passes (bit-identical results;
-            see :func:`plan_lockstep`).  ``None`` (the default) reads
-            ``$REPRO_LOCKSTEP`` and falls back to on; fault injection
-            forces it off.  Execution plumbing like ``backend`` — never
-            part of the spec hash or the cache identity.
 
     Returns:
         A :class:`SweepRun` whose table preserves grid order (minus any
@@ -676,10 +549,10 @@ def run_sweep(
                     for index, job in pending
                 ]
             planes_before = _count_plane_files(materialization_dir)
+            # Fault plans key on job indices and fire per dispatched
+            # unit, so fusing jobs would shift which jobs a plan hits.
             units: list[tuple[int, JobSpec | LockstepBatch]] = (
-                plan_lockstep(pending, progress)
-                if _lockstep_enabled(lockstep, faults)
-                else list(pending)
+                list(pending) if faults else plan_lockstep(pending, progress)
             )
             broker = Broker(
                 BrokerConfig(
@@ -743,7 +616,6 @@ def resume_sweep(
     heartbeat_timeout: float = 30.0,
     faults: str | None = None,
     fsync_journal: bool = True,
-    lockstep: bool | None = None,
 ) -> SweepRun:
     """Resume an interrupted run from its journal alone.
 
@@ -783,5 +655,4 @@ def resume_sweep(
         heartbeat_timeout=heartbeat_timeout,
         faults=faults,
         fsync_journal=fsync_journal,
-        lockstep=lockstep,
     )

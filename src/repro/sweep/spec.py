@@ -125,12 +125,13 @@ class PredictorSpec:
     def parse(cls, token: str) -> "PredictorSpec":
         """Parse a CLI token: ``tage-64K``, ``tage-16K-prob``, ``gshare`` ...
 
-        The ``-prob`` suffix selects the §6 probabilistic automaton.
+        The ``-prob`` suffix selects the §6 probabilistic automaton; any
+        other suffix is an error.
         """
         parts = token.split("-")
-        if parts[0] == "tage":
+        if parts[0] == "tage" and parts[2:] in ([], ["prob"]):
             size = parts[1] if len(parts) > 1 else "64K"
-            automaton = "probabilistic" if "prob" in parts[2:] else "standard"
+            automaton = "probabilistic" if parts[2:] else "standard"
             return cls.of("tage", size=size, automaton=automaton)
         if token in PREDICTOR_KINDS:
             return cls.of(token)
@@ -226,7 +227,7 @@ class JobSpec:
 
     ``seed`` is the per-job RNG seed already derived by grid expansion
     (``None`` keeps each component's built-in deterministic seeds, which
-    reproduces the pre-sweep ``run_suite`` results bit-for-bit).
+    reproduces per-trace ``run_trace`` results bit-for-bit).
 
     ``backend`` selects the simulation engine.  It is deliberately
     **excluded** from :meth:`as_dict` and therefore from

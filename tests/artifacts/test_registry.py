@@ -76,16 +76,17 @@ def test_overlapping_artifacts_share_sweeps():
     assert service.n_jobs == jobs_after_table1
 
 
-def test_suite_grid_matches_legacy_run_suite_results():
-    """Registry grids reproduce the pre-sweep run_suite path bit-for-bit."""
-    from repro.sim.runner import run_suite
+def test_suite_grid_matches_per_trace_run_trace_results():
+    """Registry grids reproduce per-trace run_trace calls bit-for-bit."""
+    from repro.sim.runner import get_trace, run_trace
 
     scale = Scale(1200)
     service = SweepService(workers=1)
     names = ("INT-1", "SERV-1")
     new = service.results(suite_grid("CBP1", "16K", scale=scale, names=names))
-    old = run_suite(
-        "CBP1", size="16K", n_branches=scale.n_branches, names=names,
-        warmup_branches=scale.warmup_branches,
-    )
+    old = [
+        run_trace(get_trace(name, scale.n_branches), size="16K",
+                  warmup_branches=scale.warmup_branches)
+        for name in names
+    ]
     assert new == old

@@ -127,3 +127,32 @@ class TestCalibrateSimulation:
         # The tracker learned materially different rates per class.
         probabilities = list(tracker.table().values())
         assert max(probabilities) > 4 * min(probabilities)
+
+    def test_equals_calibrating_inside_the_simulation_loop(self, tiny_trace):
+        """Replaying the observation stream gives exactly what an in-loop
+        calibration would: the tracker never feeds back into the predictor."""
+        from repro.confidence.estimator import TageConfidenceEstimator
+        from repro.predictors.tage.config import TageConfig
+        from repro.predictors.tage.predictor import TagePredictor
+
+        predictor = TagePredictor(TageConfig.small())
+        estimator = TageConfidenceEstimator(predictor)
+        tracker = ClassRateTracker()
+        report = ReliabilityReport()
+        for pc, taken_byte in zip(tiny_trace.pcs, tiny_trace.takens):
+            taken = taken_byte == 1
+            prediction = predictor.predict(pc)
+            observation = predictor.last_prediction
+            prediction_class = estimator.classify(observation)
+            report.observe(tracker.probability(prediction_class), prediction != taken)
+            tracker.observe(prediction_class, prediction != taken)
+            estimator.observe(observation, taken)
+            predictor.train(pc, taken)
+
+        fresh = TagePredictor(TageConfig.small())
+        replayed_tracker, replayed_report = calibrate_simulation(
+            tiny_trace, fresh, TageConfidenceEstimator(fresh)
+        )
+        assert replayed_tracker.table() == tracker.table()
+        assert replayed_report.bins() == report.bins()
+        assert replayed_report.brier_score() == report.brier_score()

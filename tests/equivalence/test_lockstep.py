@@ -26,9 +26,8 @@ from repro.predictors.tage.config import TageConfig
 from repro.predictors.tage.predictor import TagePredictor
 from repro.sweep.cache import ResultCache
 from repro.sweep.executor import (
-    LOCKSTEP_ENV,
     LOCKSTEP_MAX_BATCH,
-    _lockstep_enabled,
+    execute_job,
     plan_lockstep,
     run_sweep,
 )
@@ -190,19 +189,9 @@ def test_plan_lockstep_skips_ineligible_jobs():
     assert plan_lockstep(jobs) == jobs
 
 
-def test_lockstep_enabled_gating(monkeypatch):
-    monkeypatch.delenv(LOCKSTEP_ENV, raising=False)
-    assert _lockstep_enabled(None, "") is True
-    assert _lockstep_enabled(False, "") is False
-    assert _lockstep_enabled(None, "kill@0") is False  # faults pin indices
-    assert _lockstep_enabled(True, "kill@0") is False
-    monkeypatch.setenv(LOCKSTEP_ENV, "off")
-    assert _lockstep_enabled(None, "") is False
-    assert _lockstep_enabled(True, "") is True  # explicit arg beats env
-
-
 @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pool"])
 def test_run_sweep_lockstep_is_bit_identical(tmp_path, workers):
+    """A lockstep sweep equals running every job alone via execute_job."""
     spec = ExperimentSpec(
         name="lockstep/e2e",
         predictors=(
@@ -216,16 +205,38 @@ def test_run_sweep_lockstep_is_bit_identical(tmp_path, workers):
         seed=1,
         backend="fast",
     )
+    progress: list[str] = []
     fused = run_sweep(spec, workers=workers,
-                      cache=ResultCache(tmp_path / "on"), lockstep=True)
-    independent = run_sweep(spec, workers=workers,
-                            cache=ResultCache(tmp_path / "off"), lockstep=False)
-    assert len(fused.table) == len(independent.table) == 6
-    for a, b in zip(fused.table, independent.table):
-        assert a.job.spec_hash() == b.job.spec_hash()
-        assert a.result == b.result
-        assert a.binary == b.binary
-        assert a.estimator_bits == b.estimator_bits
+                      cache=ResultCache(tmp_path / "cache"),
+                      progress=progress.append)
+    assert any(line.startswith("lockstep: fused 6 job(s)") for line in progress)
+    assert len(fused.table) == 6
+    for row in fused.table:
+        independent = execute_job(row.job)
+        assert row.result == independent.result
+        assert row.binary == independent.binary
+        assert row.estimator_bits == independent.estimator_bits
+
+
+def test_fault_injection_disables_lockstep(tmp_path):
+    """Fault plans key on job indices, so an injected run never fuses."""
+    spec = ExperimentSpec(
+        name="lockstep/faults",
+        predictors=(
+            PredictorSpec.of("tage", size="16K"),
+            PredictorSpec.of("tage", size="16K", automaton="probabilistic"),
+        ),
+        estimators=(EstimatorSpec.of("tage"),),
+        traces=("INT-1",),
+        n_branches=2000,
+        backend="fast",
+    )
+    progress: list[str] = []
+    run = run_sweep(spec, workers=1, cache=ResultCache(tmp_path),
+                    progress=progress.append, faults="flaky@0:1",
+                    fsync_journal=False)
+    assert run.n_executed == 2 and run.n_quarantined == 0
+    assert not any(line.startswith("lockstep:") for line in progress)
 
 
 def test_run_sweep_lockstep_results_hit_cache(tmp_path):
@@ -241,9 +252,9 @@ def test_run_sweep_lockstep_results_hit_cache(tmp_path):
         backend="fast",
     )
     cache = ResultCache(tmp_path)
-    first = run_sweep(spec, workers=1, cache=cache, lockstep=True)
+    first = run_sweep(spec, workers=1, cache=cache)
     assert first.n_executed == 2 and first.n_cached == 0
-    again = run_sweep(spec, workers=1, cache=cache, lockstep=True)
+    again = run_sweep(spec, workers=1, cache=cache)
     assert again.n_executed == 0 and again.n_cached == 2
     for a, b in zip(first.table, again.table):
         assert a.result == b.result and a.binary == b.binary

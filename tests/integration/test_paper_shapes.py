@@ -8,7 +8,7 @@ claim from the paper's evaluation and asserts it on reduced-scale runs
 import pytest
 
 from repro.confidence.classes import ConfidenceLevel, PredictionClass
-from repro.sim.runner import run_suite, run_trace
+from repro.sim.runner import run_trace
 from repro.sim.stats import summarize
 from repro.traces.suites import cbp1_trace, cbp2_trace
 
@@ -117,13 +117,10 @@ class TestSection61ThreeLevels:
 
     @pytest.fixture(scope="class")
     def pooled(self):
-        results = run_suite(
-            "CBP1",
-            size="64K",
-            automaton="probabilistic",
-            n_branches=8_000,
-            names=("FP-1", "INT-1", "MM-1", "SERV-1", "INT-3"),
-        )
+        results = [
+            run_trace(cbp1_trace(name, 8_000), size="64K", automaton="probabilistic")
+            for name in ("FP-1", "INT-1", "MM-1", "SERV-1", "INT-3")
+        ]
         return summarize(results)
 
     def test_high_conf_covers_majority(self, pooled):

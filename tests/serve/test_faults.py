@@ -226,6 +226,36 @@ class TestProtocolFaults:
         assert msg_type == protocol.MSG_ERROR
         assert protocol.decode_error(payload)[0] == protocol.ERR_BAD_REQUEST
 
+    @pytest.mark.parametrize("fields", [
+        {"seed": "abc"},
+        {"seed": 1.5},
+        {"tenant": 5},
+        {"target_mkp": "x", "adaptive": True},
+        {"adaptive": "no"},
+    ], ids=repr)
+    def test_wrong_typed_hello_field_is_bad_request(self, fields):
+        """A wrong-typed HELLO field answers an ERR_BAD_REQUEST frame
+        instead of dropping the connection."""
+        hello = protocol.encode_json({"tenant": "typed", **fields})
+
+        async def main():
+            async with running_server(ServerConfig(port=0)) as server:
+                host, port = server.address
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(protocol.encode_frame(protocol.MSG_HELLO, hello))
+                await writer.drain()
+                frame = await asyncio.wait_for(
+                    protocol.read_frame(reader), timeout=5.0
+                )
+                writer.close()
+                return frame
+
+        frame = asyncio.run(main())
+        assert frame is not None, "server closed without an ERROR frame"
+        msg_type, payload = frame
+        assert msg_type == protocol.MSG_ERROR
+        assert protocol.decode_error(payload)[0] == protocol.ERR_BAD_REQUEST
+
 
 class TestDraining:
     def test_new_requests_rejected_while_draining(self):

@@ -40,6 +40,30 @@ class TestSessionSpec:
             SessionSpec(tenant="t", predictor="gshare", estimator="jrs",
                         adaptive=True)
 
+    @pytest.mark.parametrize("fields", [
+        {"tenant": 5},
+        {"predictor": 16},
+        {"estimator": None},
+        {"adaptive": "no"},
+        {"adaptive": 1},
+        {"target_mkp": "x", "adaptive": True},
+        {"target_mkp": True},
+        {"target_mkp": float("nan")},
+        {"target_mkp": float("inf")},
+        {"seed": "abc"},
+        {"seed": 1.5},
+        {"seed": True},
+    ], ids=repr)
+    def test_wrong_typed_field_is_value_error(self, fields):
+        # HELLO payloads are decoded JSON: a wrong type must surface as
+        # the ValueError the server answers with ERR_BAD_REQUEST.
+        with pytest.raises(ValueError):
+            SessionSpec.from_dict({"tenant": "t0", **fields})
+
+    def test_numeric_fields_accept_ints_and_floats(self):
+        spec = SessionSpec(tenant="t0", adaptive=True, target_mkp=7, seed=0)
+        assert spec.target_mkp == 7 and spec.seed == 0
+
     def test_dict_round_trip(self):
         spec = SessionSpec(tenant="t0", predictor="tage-16K", estimator="tage",
                            adaptive=True, target_mkp=7.5, seed=11)

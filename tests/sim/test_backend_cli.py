@@ -1,4 +1,4 @@
-"""CLI backend-selector tests (`--backend` on run-trace/run-suite/sweep)."""
+"""CLI backend-selector tests (`--backend` on run-trace/sweep)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from repro.sim.backends import FastBackendFallbackWarning
 
 
 class TestParser:
-    @pytest.mark.parametrize("command", [["run-trace", "FP-1"], ["run-suite", "CBP1"], ["sweep"]])
+    @pytest.mark.parametrize("command", [["run-trace", "FP-1"], ["sweep"]])
     def test_backend_defaults_to_reference(self, command):
         assert build_parser().parse_args(command).backend == "reference"
 

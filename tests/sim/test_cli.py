@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.runner import get_trace, run_trace
 
 
 class TestParser:
@@ -37,6 +38,9 @@ class TestCommands:
             "--automaton", "probabilistic", "--sat-prob-log2", "4",
         ])
         assert code == 0
+        expected = run_trace(get_trace("FP-1", 1500), size="16K",
+                             automaton="probabilistic", sat_prob_log2=4)
+        assert capsys.readouterr().out == expected.class_table() + "\n"
 
     def test_run_trace_unknown_name(self):
         with pytest.raises(SystemExit):
@@ -107,11 +111,3 @@ class TestCommands:
             build_parser().parse_args(
                 ["trace", "--source", "zoo.markov", "--list"]
             )
-
-    def test_run_suite_subset_not_supported_runs_full(self, capsys):
-        # run-suite over CBP1 at a tiny branch count: exercises the whole
-        # path (20 traces) quickly.
-        assert main(["run-suite", "CBP1", "--branches", "400", "--size", "16K"]) == 0
-        out = capsys.readouterr().out
-        assert "SERV-5" in out
-        assert "three-level summary" in out

@@ -2,18 +2,93 @@
 
 import pytest
 
+from repro.confidence.adaptive import AdaptiveSaturationController
 from repro.confidence.classes import ConfidenceLevel, PredictionClass
 from repro.confidence.estimator import TageConfidenceEstimator
 from repro.confidence.jrs import JrsEstimator
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.tage.config import TageConfig
 from repro.predictors.tage.predictor import TagePredictor
-from repro.sim.engine import simulate, simulate_binary
+from repro.sim.backends import Cell
+from repro.sim.engine import (
+    OBSERVATION_CLASS_CODES,
+    mispredicted_of,
+    simulate,
+    simulate_binary,
+    step,
+)
 from repro.traces.types import Trace
 
 
 def constant_trace(n=100, taken=True):
     return Trace("const", [0x400] * n, [int(taken)] * n, [5] * n)
+
+
+def _tage_cell(adaptive=False):
+    predictor = TagePredictor(TageConfig.small().with_probabilistic_automaton())
+    controller = (
+        AdaptiveSaturationController(predictor, target_mkp=5.0, window=64)
+        if adaptive else None
+    )
+    return Cell(predictor, TageConfidenceEstimator(predictor), controller)
+
+
+def _jrs_cell():
+    return Cell(BimodalPredictor(log_entries=8), JrsEstimator(), binary=True)
+
+
+def _bare_cell():
+    return Cell(BimodalPredictor(log_entries=8))
+
+
+class TestStep:
+    """The one reference stepper: chunking is invisible, codes per protocol."""
+
+    @pytest.mark.parametrize("make_cell", [
+        _bare_cell, _jrs_cell, _tage_cell, lambda: _tage_cell(adaptive=True),
+    ], ids=["bare", "binary", "multi-class", "adaptive"])
+    @pytest.mark.parametrize("chunk", [1, 7, 500])
+    def test_chunked_steps_equal_one_pass(self, tiny_trace, make_cell, chunk):
+        whole_cell = make_cell()
+        whole = step(whole_cell, tiny_trace.pcs, tiny_trace.takens)
+        cell = make_cell()
+        predictions, codes = [], []
+        for start in range(0, len(tiny_trace), chunk):
+            part_predictions, part_codes = step(
+                cell,
+                tiny_trace.pcs[start:start + chunk],
+                tiny_trace.takens[start:start + chunk],
+            )
+            predictions += part_predictions
+            codes += part_codes or []
+        assert predictions == whole[0]
+        assert codes == (whole[1] or [])
+        if cell.controller is not None:
+            assert cell.controller.sat_prob_log2 == whole_cell.controller.sat_prob_log2
+
+    def test_codes_per_protocol(self, tiny_trace):
+        n = len(tiny_trace)
+        predictions, codes = step(_bare_cell(), tiny_trace.pcs, tiny_trace.takens)
+        assert len(predictions) == n and codes is None
+        _, flags = step(_jrs_cell(), tiny_trace.pcs, tiny_trace.takens)
+        assert len(flags) == n and set(flags) <= {True, False}
+        _, class_codes = step(_tage_cell(), tiny_trace.pcs, tiny_trace.takens)
+        assert len(class_codes) == n
+        assert set(class_codes) <= set(range(len(OBSERVATION_CLASS_CODES)))
+
+    def test_simulate_aggregates_the_stepper(self, tiny_trace):
+        predictions, codes = step(_tage_cell(adaptive=True), tiny_trace.pcs,
+                                  tiny_trace.takens)
+        mispredicted = mispredicted_of(predictions, tiny_trace.takens)
+        cell = _tage_cell(adaptive=True)
+        result = simulate(tiny_trace, cell.predictor, cell.estimator,
+                          cell.controller, warmup_branches=300)
+        assert result.mispredictions == sum(mispredicted)
+        for code, prediction_class in enumerate(OBSERVATION_CLASS_CODES):
+            after = [miss for c, miss in zip(codes[300:], mispredicted[300:])
+                     if c == code]
+            assert result.classes.predictions(prediction_class) == len(after)
+            assert result.classes.mispredictions(prediction_class) == sum(after)
 
 
 class TestSimulate:

@@ -1,9 +1,15 @@
-"""Tests for the suite/config sweep runner."""
+"""Tests for the predictor presets, the cell builder and run_trace."""
 
 import pytest
 
+from repro.confidence.adaptive import AdaptiveSaturationController
+from repro.confidence.jrs import EnhancedJrsEstimator
+from repro.confidence.self_confidence import SelfConfidenceEstimator
+from repro.predictors.gshare import GsharePredictor
 from repro.predictors.tage.config import AUTOMATON_PROBABILISTIC
-from repro.sim.runner import build_predictor, run_suite, run_trace, suite_traces
+from repro.sim.engine import simulate
+from repro.sim.runner import build_cell, build_predictor, get_trace, run_trace
+from repro.sweep.spec import EstimatorSpec, PredictorSpec
 
 
 class TestBuildPredictor:
@@ -25,18 +31,37 @@ class TestBuildPredictor:
             build_predictor("2M")
 
 
-class TestSuiteTraces:
-    def test_subset_and_order(self):
-        traces = suite_traces("CBP1", n_branches=400, names=("MM-1", "FP-1"))
-        assert [trace.name for trace in traces] == ["MM-1", "FP-1"]
+class TestBuildCell:
+    def test_tage_observation_cell(self):
+        cell = build_cell(PredictorSpec.of("tage", size="16K"),
+                          EstimatorSpec.of("tage", bim_miss_window=4))
+        assert not cell.binary and cell.controller is None
+        assert cell.estimator.predictor is cell.predictor
+        assert cell.estimator.bim_miss_window == 4
 
-    def test_cbp2(self):
-        traces = suite_traces("CBP2", n_branches=400, names=("252.eon",))
-        assert traces[0].name == "252.eon"
+    def test_adaptive_attaches_controller_and_forces_automaton(self):
+        cell = build_cell(PredictorSpec.of("tage", size="16K"),
+                          EstimatorSpec.of("tage"), adaptive=True, target_mkp=6.0)
+        assert isinstance(cell.controller, AdaptiveSaturationController)
+        assert cell.controller.target_mkp == 6.0
+        assert cell.predictor.config.automaton == AUTOMATON_PROBABILISTIC
 
-    def test_unknown_suite(self):
-        with pytest.raises(KeyError):
-            suite_traces("CBP3")
+    def test_seed_reseeds_tage_random_sources(self):
+        spec, estimator = PredictorSpec.of("tage", size="16K"), EstimatorSpec.of("tage")
+        unseeded = build_cell(spec, estimator).predictor.config
+        seeded = build_cell(spec, estimator, seed=7).predictor.config
+        assert (seeded.lfsr_seed, seeded.alloc_seed) != (
+            unseeded.lfsr_seed, unseeded.alloc_seed)
+        assert build_cell(spec, estimator, seed=7).predictor.config == seeded
+
+    def test_binary_cells(self):
+        cell = build_cell(PredictorSpec.of("gshare"), EstimatorSpec.of("ejrs"))
+        assert cell.binary
+        assert type(cell.predictor) is GsharePredictor
+        assert type(cell.estimator) is EnhancedJrsEstimator
+        cell = build_cell(PredictorSpec.of("perceptron"), EstimatorSpec.of("self"))
+        assert isinstance(cell.estimator, SelfConfidenceEstimator)
+        assert cell.estimator.predictor is cell.predictor
 
 
 class TestRunTrace:
@@ -53,15 +78,15 @@ class TestRunTrace:
         result = run_trace(tiny_trace, size="16K", ctr_bits=4)
         assert result.storage_bits > 16 * 1024  # wider counters cost bits
 
+    def test_fresh_predictor_per_call(self, tiny_trace):
+        """Each call simulates on a fresh cell: repeating it repeats the
+        result."""
+        assert run_trace(tiny_trace, size="16K") == run_trace(tiny_trace, size="16K")
 
-class TestRunSuite:
-    def test_runs_named_subset(self):
-        results = run_suite("CBP1", size="16K", n_branches=600, names=("FP-1", "INT-1"))
-        assert [result.trace_name for result in results] == ["FP-1", "INT-1"]
-        assert all(result.classes is not None for result in results)
-
-    def test_fresh_predictor_per_trace(self):
-        """Each trace is simulated independently: same trace twice in the
-        suite gives identical results."""
-        results = run_suite("CBP1", size="16K", n_branches=600, names=("FP-1", "FP-1"))
-        assert results[0].mispredictions == results[1].mispredictions
+    def test_equals_simulate_on_built_cell(self):
+        trace = get_trace("INT-1", 600)
+        cell = build_cell(PredictorSpec.of("tage", size="16K", automaton="probabilistic"),
+                          EstimatorSpec.of("tage"), adaptive=True)
+        direct = simulate(trace, cell.predictor, cell.estimator, cell.controller,
+                          warmup_branches=100)
+        assert run_trace(trace, size="16K", adaptive=True, warmup_branches=100) == direct

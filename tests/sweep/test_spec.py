@@ -43,6 +43,19 @@ class TestPredictorSpec:
         with pytest.raises(ValueError):
             PredictorSpec.parse("neural-42K")
 
+    def test_parse_bare_tage_is_medium_standard(self):
+        spec = PredictorSpec.parse("tage")
+        assert (spec.size, spec.automaton) == ("64K", "standard")
+
+    @pytest.mark.parametrize("token", [
+        "tage-16K-probabilistic", "tage-16K-foo", "tage-16K-prob-x",
+        "tage-16K-", "tage-16K-prob-prob",
+    ])
+    def test_parse_unknown_tage_suffix_rejected(self, token):
+        # Only tage, tage-<SIZE> and tage-<SIZE>-prob parse.
+        with pytest.raises(ValueError, match="cannot parse predictor"):
+            PredictorSpec.parse(token)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             PredictorSpec.of("neural")
