@@ -9,14 +9,11 @@ while one :func:`simulate_tage_lockstep` pass computes them once and
 runs all cells through a single batched kernel sweep.
 
 Asserts strict bit-identity between the fused and independent runs and
-emits ``benchmarks/records/BENCH_lockstep.json``.  The independent leg
-runs the pure-Python kernel — exactly the per-job fast path every sweep
-used before lockstep batching and compiled kernels landed (the path
-``BENCH_tage_fast`` gates) — while the lockstep leg runs the new sweep
-default: one fused pass on the best available kernel.  The ratio is
-therefore the end-to-end sweep-level win of this optimisation pair,
-stacked the way ``run_sweep`` actually stacks them
-(``BENCH_tage_compiled`` isolates the kernel half on shared planes).
+emits ``benchmarks/records/BENCH_lockstep.json``.  Both legs run the C
+kernel: the independent leg is the per-job fast path (one plane
+computation and one single-cell kernel call per job), the lockstep leg
+the sweep default (one plane computation and one batched kernel call
+per trace).  The ratio is therefore what batching alone saves a sweep.
 """
 
 from __future__ import annotations
@@ -89,9 +86,9 @@ def _make_cells(warmup: int) -> list[LockstepCell]:
 
 
 def _run_independent(traces, warmup) -> tuple[list, float, list[dict]]:
-    """Each cell as its own pure-kernel job: planes recomputed per
-    (trace, cell), exactly the per-job fast path sweeps ran before
-    lockstep batching existed."""
+    """Each cell as its own job: planes recomputed per (trace, cell),
+    exactly the per-job fast path sweeps run without lockstep
+    batching."""
     results = []
     per_trace = []
     total = 0.0
@@ -121,7 +118,7 @@ def _run_lockstep(traces, warmup) -> tuple[list, float, list[dict]]:
     return results, total, per_trace
 
 
-def test_lockstep_wallclock(run_once, monkeypatch):
+def test_lockstep_wallclock(run_once):
     branches = bench_branches()
     warmup = branches // 4
     traces = []
@@ -131,11 +128,9 @@ def test_lockstep_wallclock(run_once, monkeypatch):
     # Warm the kernel path (provider build, imports) outside the timings.
     simulate_tage_lockstep(traces[0][1], _make_cells(0)[:2])
 
-    monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "pure")
     independent_results, independent_seconds, independent_rows = run_once(
         lambda: _run_independent(traces, warmup)
     )
-    monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "auto")
     lockstep_results, lockstep_seconds, lockstep_rows = _run_lockstep(
         traces, warmup
     )
@@ -170,11 +165,10 @@ def test_lockstep_wallclock(run_once, monkeypatch):
         "\n".join([
             f"lockstep bench: {len(TRACES)} traces x {n_cells} "
             f"shared-plane TAGE-16K ablation cells x {branches} branches",
-            f"independent: {independent_seconds:.3f}s (pure kernel, "
-            f"{n_cells} plane computations per trace)",
+            f"independent: {independent_seconds:.3f}s ({n_cells} plane "
+            f"computations + {n_cells} kernel calls per trace)",
             f"lockstep:    {lockstep_seconds:.3f}s (1 plane computation + "
-            f"1 batched {compiled.active_provider() or 'pure'}-kernel "
-            "pass per trace)",
+            "1 batched kernel call per trace)",
             f"speedup:     {speedup:.1f}x (target >= {SPEEDUP_TARGET:g}x)",
         ]),
     )

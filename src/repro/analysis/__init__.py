@@ -17,9 +17,9 @@ change:
 * **RPR003 fork/async safety** — no mutation of module-level mutable
   state in the sweep/serve layers, no blocking calls inside ``async def``
   (:mod:`repro.analysis.rules.concurrency`).
-* **RPR004 kernel parity** — marked kernel regions that exist in several
-  translations (pure Python, flat batch, embedded C) must change
-  together (:mod:`repro.analysis.rules.parity`).
+* **RPR004** — retired (kernel parity between the pure-Python and C
+  kernel translations; the C kernel is now the only one).  Rule IDs
+  are never reused.
 * **RPR005 warning/exception hygiene** — no bare ``except``, no
   category-less ``warnings.warn``, no blanket warning suppression
   (:mod:`repro.analysis.rules.hygiene`).

@@ -14,7 +14,6 @@ from repro.analysis.rules.base import FileRule, ProjectRule, Rule
 from repro.analysis.rules.concurrency import ConcurrencyRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.hygiene import HygieneRule
-from repro.analysis.rules.parity import ParityRule
 from repro.analysis.rules.spec_hash import SpecHashRule
 
 __all__ = [
@@ -26,12 +25,13 @@ __all__ = [
     "rule_ids",
 ]
 
-#: Every registered rule class, in rule-ID order.
+#: Every registered rule class, in rule-ID order.  RPR004 (kernel parity
+#: between the pure-Python and C kernel translations) is retired: the C
+#: kernel is the only translation left.
 RULES: tuple[type[Rule], ...] = (
     DeterminismRule,
     SpecHashRule,
     ConcurrencyRule,
-    ParityRule,
     HygieneRule,
 )
 

@@ -4,7 +4,7 @@ Two shapes of rule exist.  A :class:`FileRule` sees one
 :class:`~repro.analysis.source.SourceFile` at a time — most invariants
 are local.  A :class:`ProjectRule` sees the whole file set at once, for
 cross-file contracts (spec classes defined in one module and consumed
-in another, kernel parity regions split across translations).  Both
+in another).  Both
 yield :class:`~repro.analysis.finding.Finding` objects; the engine owns
 pragma suppression, baselining, ordering and reporting, so rules just
 emit every violation they see.

@@ -1,7 +1,7 @@
 """Per-file analysis context: parsed AST plus the resolution tables rules need.
 
 A :class:`SourceFile` wraps one Python file with everything the rules
-share: the raw lines (rules like kernel parity scan text, not syntax),
+share: the raw lines (pragma scanning reads text, not syntax),
 the parsed tree, an import-alias table for resolving dotted call names
 (``from datetime import datetime`` makes ``datetime.now`` resolve to
 ``datetime.datetime.now``), a line → enclosing-symbol index for stable

@@ -26,9 +26,9 @@ Usage (``python -m repro <command>``):
 * ``list-traces`` — show the registered trace names (CBP suites and
   the scenario-zoo trace sources).
 * ``capability`` — report, per backend, whether one (predictor,
-  estimator) cell is supported, which compiled kernel provider would
-  run it under the current ``--kernel`` mode, and whether it can join
-  a lockstep batch (see :meth:`repro.sim.backends.Backend.capability`).
+  estimator) cell is supported, whether the C kernel (and which
+  provider) would run it, and whether it can join a lockstep batch
+  (see :meth:`repro.sim.backends.Backend.capability`).
 * ``serve`` — run the multi-tenant confidence server until SIGINT or
   SIGTERM, then drain gracefully (see :mod:`repro.serve`).
 * ``drive`` — load-drive a running server with open- or closed-loop
@@ -46,7 +46,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import signal
 import sys
 import uuid
@@ -128,22 +127,9 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
                              "zoo (every predictor/estimator kind, adaptive "
                              "Sec-6.2 control included) bit-exactly and falls "
                              "back to 'reference' (with a warning) only for "
-                             "subclassed components or >62-bit histories")
-    parser.add_argument("--kernel", choices=("auto", "pure", "compiled"),
-                        default=None,
-                        help="fast-backend kernel mode (sets $REPRO_KERNEL "
-                             "for this invocation, workers included): 'auto' "
-                             "uses the C kernel build when a C compiler is "
-                             "available, 'pure' pins the Python kernels, "
-                             "'compiled' requires the C kernel and warns "
-                             "once if it cannot be built; all modes are "
-                             "bit-identical")
-
-
-def _apply_kernel_mode(args) -> None:
-    """Export ``--kernel`` so this process and its workers agree."""
-    if getattr(args, "kernel", None) is not None:
-        os.environ["REPRO_KERNEL"] = args.kernel
+                             "subclassed components, >62-bit histories, "
+                             "over-wide counters, or TAGE/O-GEHL cells "
+                             "when no C compiler can build the kernel")
 
 
 def _materialization_dir(args):
@@ -343,15 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--adaptive", action="store_true",
         help="attach the Sec-6.2 adaptive saturation controller",
     )
-    capability_cmd.add_argument(
-        "--kernel", choices=("auto", "pure", "compiled"), default=None,
-        help="evaluate under this $REPRO_KERNEL mode",
-    )
 
     lint_cmd = commands.add_parser(
         "lint",
         help="run the static invariant analyzers (determinism, spec-hash "
-             "hygiene, fork/async safety, kernel parity, warning hygiene)",
+             "hygiene, fork/async safety, warning hygiene)",
     )
     lint_cmd.add_argument(
         "paths", nargs="*", metavar="PATH",
@@ -458,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run_trace(args) -> int:
-    _apply_kernel_mode(args)
     result = run_trace(
         _get_trace(args.name, args.branches),
         size=args.size,
@@ -477,7 +458,6 @@ _DEFAULT_SWEEP_TRACES = ("INT-1", "MM-1", "SERV-1", "300.twolf")
 
 
 def _cmd_sweep(args) -> int:
-    _apply_kernel_mode(args)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if args.resume is not None:
         # The journal carries the grid: axis flags are ignored on resume.
@@ -592,7 +572,6 @@ def _print_sweep(args, run, cache) -> int:
 
 
 def _cmd_paper(args) -> int:
-    _apply_kernel_mode(args)
     if args.list_artifacts:
         rows = [
             [spec.key, spec.paper_element, spec.kind, spec.title]
@@ -702,9 +681,8 @@ def _cmd_list_traces(args) -> int:
 
 
 def _cmd_capability(args) -> int:
-    _apply_kernel_mode(args)
     from repro.serve.state import SessionSpec
-    from repro.sim.fast.compiled import kernel_mode, provider_unavailable_reason
+    from repro.sim.fast.compiled import provider_unavailable_reason
 
     try:
         spec = SessionSpec(tenant="cli", predictor=args.predictor,
@@ -727,8 +705,7 @@ def _cmd_capability(args) -> int:
         ("backend", "supported", "compiled", "provider", "lockstep", "notes"),
         rows,
         title=f"{args.predictor} x {args.estimator}"
-              + (" + adaptive" if args.adaptive else "")
-              + f" (kernel mode: {kernel_mode()})",
+              + (" + adaptive" if args.adaptive else ""),
     ))
     reason = provider_unavailable_reason()
     if reason is not None:

@@ -102,9 +102,10 @@ class Capability:
     exact wording the fallback warning uses; ``fallback`` names the
     backend that will silently take over (the reference engine never
     refuses, so its capabilities carry no fallback).  ``compiled``
-    reports whether the C kernel build would execute this cell under
-    the current ``REPRO_KERNEL`` mode, with ``compiled_provider``
-    naming its provider (``cext``); ``lockstep`` reports whether the cell can join a
+    reports whether the C kernel executes this cell (TAGE and O-GEHL
+    cells, which the fast backend refuses when no C compiler could
+    build it), with ``compiled_provider`` naming its provider
+    (``cext``); ``lockstep`` reports whether the cell can join a
     multi-cell lockstep batch (shared-plane TAGE cells).
 
     Truthiness is the verdict: ``if backend.capability(cell): ...``.

@@ -16,14 +16,14 @@ estimators — built on five layers:
 * :mod:`repro.sim.fast.planes` — precomputed TAGE index/tag planes
   (the folded-history arithmetic, computed trace-wide with NumPy) and
   their memmap-backed on-disk materialization cache;
-* :mod:`repro.sim.fast.tage` — the lean sequential TAGE kernel over
-  packed structure-of-arrays table state (with the in-kernel §6.2
-  feedback loop and per-branch observation streams for the apps layer);
+* :mod:`repro.sim.fast.tage` — TAGE cells on the batched kernel (with
+  the in-kernel §6.2 feedback loop and per-branch observation streams
+  for the apps layer);
 * :mod:`repro.sim.fast.gehl` — the plane-fed dot-product kernels for
   the sum-based predictors and their self-confidence signals;
-* :mod:`repro.sim.fast.compiled` — the optional C build of the
-  sequential TAGE/O-GEHL kernels, bit-identical to the pure loops,
-  selected per process via ``REPRO_KERNEL``;
+* :mod:`repro.sim.fast.compiled` — the C kernel, the one
+  implementation of the sequential TAGE/O-GEHL loops, built with the
+  system C compiler;
 * :mod:`repro.sim.fast.lockstep` — multi-cell lockstep batching:
   ablation cells sharing one trace's planes advance through a single
   batched kernel pass;
@@ -34,7 +34,9 @@ estimators — built on five layers:
   answer to the :meth:`repro.sim.backends.Backend.capability` query.
 
 Unsupported configurations (subclasses of supported component types,
->62-bit gshare/perceptron/local/JRS/path history windows) raise
+>62-bit gshare/perceptron/local/JRS/path history windows, fields wider
+than the int64 kernel slots, and TAGE/O-GEHL cells when no C compiler
+could build the kernel) raise
 :class:`~repro.sim.backends.FastBackendUnsupported`; the ``backend=``
 dispatch in :mod:`repro.sim.engine` turns that into a warning plus a
 reference-engine fallback.  Equivalence with the reference engine is
@@ -56,12 +58,7 @@ from repro.sim.fast.arrays import (
     history_windows,
     segmented_history_windows,
 )
-from repro.sim.fast.compiled import (
-    active_provider,
-    kernel_mode,
-    resolve_ogehl_kernel,
-    resolve_tage_kernel,
-)
+from repro.sim.fast.compiled import active_provider
 from repro.sim.fast.engine import (
     cell_capability,
     simulate_binary_fast,
@@ -100,10 +97,7 @@ __all__ = [
     "LockstepCell",
     "simulate_tage_lockstep",
     "cell_capability",
-    "kernel_mode",
     "active_provider",
-    "resolve_tage_kernel",
-    "resolve_ogehl_kernel",
     "PlaneCache",
     "TagePlanes",
     "compute_planes",

@@ -1,28 +1,24 @@
-"""The compiled build of the fast-backend inner loops.
+"""The C kernel: the one fast implementation of the sequential loops.
 
-The fast backend's remaining per-branch cost is a handful of genuinely
-sequential kernels (:func:`repro.sim.fast.tage._kernel`, the O-GEHL
-loop in :mod:`repro.sim.fast.gehl`).  This module embeds a C
-translation of those loops, compiled once per source digest with the
-system C compiler (``$CC``, else ``cc``/``gcc``/``clang`` on ``PATH``)
-into a cached shared library and called through :mod:`ctypes` — the
-``cext`` provider.  Every piece of kernel state crosses the boundary as
-a flat NumPy array or a plain integer.
+The fast backend's remaining per-branch cost is two genuinely
+sequential loops — the TAGE provider/update/classify loop and the
+O-GEHL sum/train loop — that the NumPy layers cannot vectorize.  This
+module embeds them as C source, compiled once per source digest with
+the system C compiler (``$CC``, else ``cc``/``gcc``/``clang`` on
+``PATH``) into a cached shared library and called through
+:mod:`ctypes` — the ``cext`` provider.  Every piece of kernel state
+crosses the boundary as a flat NumPy array or a plain integer.
 
 Resolution is lazy, cached and silent: the first query builds (or finds)
-the shared library; without a C compiler the pure kernels run.
+the shared library.  Without a C compiler there is no second fast
+implementation to fall back to: :func:`load_kernel` raises
+:class:`~repro.sim.backends.FastBackendUnsupported`, and the fast
+backend's capability query refuses TAGE and O-GEHL cells with the same
+reason (:func:`provider_unavailable_reason`), so the dispatchers warn
+once and run those cells on the reference engine — the oracle both
+loops are checked against by ``tests/equivalence/``.
 
-Which kernels actually run is a *process-wide* switch, not a per-call
-argument: ``REPRO_KERNEL`` is ``auto`` (compiled when available — safe
-because the compiled kernels are bit-identical), ``pure``, or
-``compiled``.  Because the env var inherits into sweep worker
-processes, one setting governs a whole parallel sweep.  Requesting
-``compiled`` when the C kernel cannot be built falls back to pure and
-emits :class:`~repro.sim.backends.FastBackendFallbackWarning` exactly
-once per process, naming the remedy: a C compiler on ``PATH`` or in
-``$CC``.
-
-The TAGE kernel here is *batched*: it runs ``n_cells`` independent
+The TAGE kernel is *batched*: it runs ``n_cells`` independent
 configurations over one shared set of index/tag planes in a single
 call (cells-outer, trace-inner — the cells never interact, so the
 per-cell streams are bit-identical to independent runs while the trace
@@ -30,20 +26,6 @@ planes are walked once per cell from warm cache lines).  The lockstep
 sweep scheduler (:mod:`repro.sim.fast.lockstep`) and the single-cell
 entry points in :mod:`repro.sim.fast.tage` both call it; a single-cell
 simulation is simply a batch of one.
-
-Each C kernel is a *translation* of a pure-Python loop and carries
-parity markers — ``repro: parity-begin <group>/<side>
-fingerprint=<8 hex>`` / ``repro: parity-end <group>/<side>`` — around
-the translated region (as ``#`` comments in Python, ``/* */`` comments
-inside the C source; markers are matched on raw lines, so both work).
-Two groups live here: ``tage-batch`` (side ``pure`` in
-:mod:`repro.sim.fast.tage`, side ``c`` below) and ``ogehl-run`` (side
-``pure`` in :mod:`repro.sim.fast.gehl`, side ``c`` below).  Both sides
-record the same group-wide fingerprint (a CRC-32 of both sides'
-whitespace-normalized contents), so ``repro lint`` rule RPR004 fails
-the moment one translation changes alone; the fix is to update both
-sides, re-run the differential suites (``tests/equivalence/``), and
-stamp the new fingerprint the finding prints onto both.
 """
 
 from __future__ import annotations
@@ -55,33 +37,23 @@ import shutil
 import subprocess
 import tempfile
 import threading
-import warnings
 from pathlib import Path
 
-import numpy as np
-
-from repro.sim.backends import FastBackendFallbackWarning
+from repro.sim.backends import FastBackendUnsupported
 
 __all__ = [
-    "KERNEL_MODES",
     "COMPILED_PROVIDER",
-    "kernel_mode",
     "active_provider",
     "provider_unavailable_reason",
-    "resolve_tage_kernel",
-    "resolve_ogehl_kernel",
-    "warn_missing_compiled",
+    "load_kernel",
     "N_IPARAMS",
     "N_FPARAMS",
     "N_COUNTS",
 ]
 
-#: Process-wide kernel-mode switch (see module docstring).
-KERNEL_MODE_ENV = "REPRO_KERNEL"
 #: Where compiled shared libraries are cached (default ~/.cache).
 CACHE_ENV = "REPRO_COMPILED_CACHE"
 
-KERNEL_MODES = ("auto", "pure", "compiled")
 #: The one compiled provider: the embedded C kernel.
 COMPILED_PROVIDER = "cext"
 
@@ -89,8 +61,8 @@ COMPILED_PROVIDER = "cext"
 # Packed per-cell parameter layout for the batched TAGE kernel.
 #
 # One int64 row per cell (N_IPARAMS wide) plus one float64 row
-# (N_FPARAMS wide) carry everything `tage._kernel` reads from the
-# config/estimator/controller objects; one int64 row (N_COUNTS wide)
+# (N_FPARAMS wide) carry everything the kernel reads from the
+# config/estimator/controller objects (packed by `tage._cell_params`); one int64 row (N_COUNTS wide)
 # carries everything it returns.  The literal indices below are the ABI
 # of the C kernel.
 # ---------------------------------------------------------------------------
@@ -131,15 +103,15 @@ N_COUNTS = 16
 
 
 # ---------------------------------------------------------------------------
-# C translation of the pure TAGE and O-GEHL kernels, statement for
-# statement.
+# The TAGE and O-GEHL loops.  Each is a step-for-step restatement of
+# the reference predictors' predict/classify/train sequence
+# (repro.sim.engine.step); tests/equivalence/ holds it to that oracle.
 # ---------------------------------------------------------------------------
 
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 
-/* repro: parity-begin tage-batch/c fingerprint=8b663460 */
 /* Galois LFSR draw of the Sec 6 probabilistic automaton: k steps, OR of
  * the tap bits.  Identical to the reference Python loop. */
 static inline uint32_t lfsr_draw(uint32_t state, int64_t k, int64_t *any_set)
@@ -425,9 +397,7 @@ int tage_batch(int64_t n, int64_t n_tagged, int64_t n_cells,
     }
     return 0;
 }
-/* repro: parity-end tage-batch/c */
 
-/* repro: parity-begin ogehl-run/c fingerprint=2528c251 */
 int ogehl_run(int64_t n, int64_t n_tables, int64_t log_entries,
               const int64_t *takens, const int64_t *planes,
               int64_t ctr_max, int64_t ctr_min,
@@ -481,23 +451,7 @@ int ogehl_run(int64_t n, int64_t n_tables, int64_t log_entries,
     free(tables);
     return 0;
 }
-/* repro: parity-end ogehl-run/c */
 """
-
-
-# ---------------------------------------------------------------------------
-# Kernel mode.
-# ---------------------------------------------------------------------------
-
-def kernel_mode() -> str:
-    """The process-wide kernel mode: ``auto`` | ``pure`` | ``compiled``."""
-    value = os.environ.get(KERNEL_MODE_ENV, "auto").strip().lower() or "auto"
-    if value not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown {KERNEL_MODE_ENV}={value!r}; "
-            f"expected one of {', '.join(KERNEL_MODES)}"
-        )
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +579,11 @@ def _kernels() -> dict:
                 _KERNELS = _load_cext()
             except Exception as error:  # noqa: BLE001 — availability probe
                 _KERNELS = {}
-                _UNAVAILABLE = f"C kernel build failed ({error})"
+                _UNAVAILABLE = (
+                    f"C kernel build failed ({error}); put a C compiler "
+                    "(cc, gcc or clang) on PATH, or name one in $CC, to "
+                    "build it"
+                )
         return _KERNELS
 
 
@@ -638,7 +596,14 @@ def active_provider() -> str | None:
 
 
 def provider_unavailable_reason() -> str | None:
-    """Why the C kernel did not load (None when it is active)."""
+    """Why the C kernel did not load, naming the remedy (None when it is
+    active).
+
+    The one wording behind the capability refusal of TAGE and O-GEHL
+    cells in :func:`repro.sim.fast.engine.cell_capability` and the
+    :class:`~repro.sim.backends.FastBackendUnsupported` that
+    :func:`load_kernel` raises to direct callers.
+    """
     return None if _kernels() else _UNAVAILABLE
 
 
@@ -651,64 +616,13 @@ def _reset_provider_cache() -> None:
         _UNAVAILABLE = None
 
 
-# ---------------------------------------------------------------------------
-# Dispatch + the once-per-process fallback warning.
-# ---------------------------------------------------------------------------
+def load_kernel(kind: str):
+    """The loaded C kernel ``kind`` (``tage`` or ``ogehl``).
 
-_WARNED_MISSING = False
-
-
-def warn_missing_compiled() -> None:
-    """Warn (once per process) that compiled kernels were requested but
-    the C kernel is unavailable, naming the remedy."""
-    global _WARNED_MISSING
-    if _WARNED_MISSING:
-        return
-    _WARNED_MISSING = True
-    warnings.warn(
-        "compiled kernels were requested "
-        f"({KERNEL_MODE_ENV}=compiled) but the C kernel is unavailable "
-        f"({provider_unavailable_reason()}); falling back to the "
-        "pure-Python kernels. Put a C compiler (cc, gcc or clang) on "
-        "PATH, or name one in $CC, to build it.",
-        FastBackendFallbackWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_missing_warning() -> None:
-    """Test hook: re-arm the once-per-process fallback warning."""
-    global _WARNED_MISSING
-    _WARNED_MISSING = False
-
-
-def _resolve(kind: str):
-    """The C kernel for ``kind`` under the current mode, or None when
-    the pure kernels run.
-
-    ``auto`` silently uses the C kernel when it resolves (the compiled
-    kernels are bit-identical, so there is nothing to warn about either
-    way); an explicit ``compiled`` request with no C kernel warns once
-    per process and falls back to pure.
+    Raises:
+        FastBackendUnsupported: when the C kernel could not be built.
     """
-    mode = kernel_mode()
-    if mode == "pure":
-        return None
     kernels = _kernels()
     if not kernels:
-        if mode == "compiled":
-            warn_missing_compiled()
-        return None
+        raise FastBackendUnsupported(_UNAVAILABLE)
     return kernels[kind]
-
-
-def resolve_tage_kernel():
-    """The batched C TAGE kernel under the current ``REPRO_KERNEL`` mode,
-    or None when the pure kernel runs."""
-    return _resolve("tage")
-
-
-def resolve_ogehl_kernel():
-    """The C O-GEHL kernel under the current mode; see
-    :func:`resolve_tage_kernel`."""
-    return _resolve("ogehl")

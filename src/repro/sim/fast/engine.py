@@ -8,7 +8,7 @@ bit-for-bit equivalents of :func:`repro.sim.engine.simulate` and
   :class:`~repro.predictors.gshare.GsharePredictor` and
   :class:`~repro.predictors.local.LocalHistoryPredictor` (fully
   vectorized counter scans), :class:`~repro.predictors.tage.TagePredictor`
-  (precomputed index/tag planes feeding the lean sequential kernel in
+  (precomputed index/tag planes feeding the batched C kernel through
   :mod:`repro.sim.fast.tage`) and the sum-based
   :class:`~repro.predictors.perceptron.PerceptronPredictor` /
   :class:`~repro.predictors.ogehl.OgehlPredictor`
@@ -31,8 +31,10 @@ precomputable from the trace alone.  Bimodal/gshare/local/JRS counter
 sequences are then clamp-add scans (:mod:`repro.sim.fast.scan`); the
 TAGE provider/update logic and the perceptron/O-GEHL weight state are
 prediction-history-dependent and run sequentially, but over precomputed
-planes and packed table state.  Exact-type subclass checks and >62-bit
-history windows are the only remaining exclusions; those raise
+planes and packed table state (the TAGE and O-GEHL loops in C).
+Exact-type subclass checks, >62-bit history windows, fields wider than
+the int64 kernel slots and — for TAGE and O-GEHL — a missing C compiler
+are the only exclusions; those raise
 :class:`FastBackendUnsupported` and the dispatching wrappers in
 :mod:`repro.sim.engine` fall back to the reference loop with a
 :class:`FastBackendFallbackWarning`.
@@ -69,6 +71,7 @@ from repro.sim.fast.arrays import (
 from repro.sim.fast.gehl import (
     MAX_PERCEPTRON_WEIGHT_BITS,
     ogehl_fast_run,
+    ogehl_width_reason,
     perceptron_fast_run,
 )
 from repro.sim.fast.planes import MAX_PATH_HISTORY_BITS
@@ -83,6 +86,7 @@ from repro.sim.fast.tage import (
     observe_tage_fast,
     simulate_tage_fast,
     tage_fast_predictions,
+    tage_width_reason,
 )
 
 __all__ = [
@@ -113,7 +117,7 @@ def _predictor_reason(predictor) -> str | None:
                 f"TAGE path_history_bits window of {effective_path_bits} bits "
                 f"exceeds the vectorized window width ({MAX_PATH_HISTORY_BITS} bits)"
             )
-        return None
+        return tage_width_reason(predictor.config)
     if type(predictor) in (GsharePredictor, PerceptronPredictor, LocalHistoryPredictor):
         if predictor.history_length > _MAX_VECTOR_HISTORY:
             return (
@@ -129,7 +133,9 @@ def _predictor_reason(predictor) -> str | None:
                 f"int64 weight-table width ({MAX_PERCEPTRON_WEIGHT_BITS} bits)"
             )
         return None
-    if type(predictor) in (BimodalPredictor, OgehlPredictor):
+    if type(predictor) is OgehlPredictor:
+        return ogehl_width_reason(predictor)
+    if type(predictor) is BimodalPredictor:
         return None
     return (
         f"predictor {getattr(predictor, 'name', type(predictor).__name__)!r} "
@@ -159,7 +165,7 @@ def _accuracy_reason(predictor, estimator=None, controller=None) -> str | None:
             f"estimator {type(estimator).__name__} is not the (non-subclassed) "
             "TAGE observation estimator"
         )
-    return None
+    return tage_width_reason(estimator.predictor.config)
 
 
 def _binary_reason(predictor, estimator) -> str | None:
@@ -216,10 +222,11 @@ def cell_capability(cell) -> "Capability":
     ``get_backend("fast").capability(cell)`` — the dispatching entry
     points, the sweep executor's warn-once fallback pass, the serve
     layer and the CLI all read the same verdict (and the same ``reason``
-    wording) from here.  Beyond the verdict it reports *how* the cell
-    would run: whether a compiled kernel build serves it under the
-    current ``REPRO_KERNEL`` mode (and which provider), and whether it
-    can join a multi-cell lockstep batch.
+    wording) from here.  TAGE and O-GEHL cells run on the C kernel, so
+    they are refused — naming the remedy — when it could not be built.
+    Beyond the verdict it reports *how* the cell would run: whether the
+    C kernel serves it (and its provider), and whether it can join a
+    multi-cell lockstep batch.
     """
     from repro.sim.backends import Capability
     from repro.sim.fast import compiled
@@ -236,25 +243,23 @@ def cell_capability(cell) -> "Capability":
         reason = _accuracy_reason(
             cell.predictor, estimator=cell.estimator, controller=cell.controller
         )
+    # The sequential TAGE and O-GEHL loops run on the C kernel; the
+    # other predictors are vectorized NumPy end to end.  Lockstep
+    # batching fuses accuracy-protocol TAGE cells sharing one plane
+    # geometry.
+    uses_kernel = type(cell.predictor) in (TagePredictor, OgehlPredictor)
+    if reason is None and uses_kernel:
+        reason = compiled.provider_unavailable_reason()
     if reason is not None:
         return Capability(
             backend="fast", supported=False, reason=reason,
             fallback="reference",
         )
-
-    # Which kernels would actually execute this cell?  The sequential
-    # TAGE and O-GEHL loops have compiled builds; the other predictors
-    # are already vectorized NumPy end to end.  Lockstep batching fuses
-    # accuracy-protocol TAGE cells sharing one plane geometry.
-    compiled_eligible = type(cell.predictor) in (TagePredictor, OgehlPredictor)
-    provider = None
-    if compiled_eligible and compiled.kernel_mode() != "pure":
-        provider = compiled.active_provider()
     return Capability(
         backend="fast",
         supported=True,
-        compiled=provider is not None,
-        compiled_provider=provider,
+        compiled=uses_kernel,
+        compiled_provider=compiled.COMPILED_PROVIDER if uses_kernel else None,
         lockstep=not cell.binary and type(cell.predictor) is TagePredictor,
     )
 

@@ -15,9 +15,9 @@ whole trace:
   branch.
 * **O-GEHL** — the per-table geometric folded-history indices are
   precomputed with the same GF(2) closed form the TAGE planes use
-  (:func:`_folded_series` logic); the sequential remainder is an
-  M-entry table read/sum and the adaptive-threshold (TC) bookkeeping in
-  plain ints.
+  (:func:`_folded_series` logic); the sequential remainder — an
+  M-entry table read/sum and the adaptive-threshold (TC) bookkeeping —
+  runs in the C kernel of :mod:`repro.sim.fast.compiled`.
 
 The *self-confidence* estimators of §2.2 ride along for free: they are
 pure functions of the prediction sum (``|sum|`` versus the — for O-GEHL
@@ -33,13 +33,9 @@ enforced by ``tests/equivalence/test_gehl_differential.py``.  Like the
 rest of the fast backend, the predictor instances are only read for
 configuration and stay in their power-on state.
 
-The scalar O-GEHL loop below is the ``pure`` side of the ``ogehl-run``
-parity group: the region between its ``repro: parity-begin`` and
-``repro: parity-end`` comments must change in lockstep with its C
-translation in :mod:`repro.sim.fast.compiled`.  Both sides record the
-same group fingerprint, so ``repro lint`` (rule RPR004) fails when one
-side drifts until the other is revisited and both are re-stamped — see
-:mod:`repro.analysis.rules.parity`.
+That kernel keeps counters and the prediction sum in int64, so wider
+counters (:func:`ogehl_width_reason`) and a missing C compiler raise
+:class:`~repro.sim.backends.FastBackendUnsupported`.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from repro.sim.fast import compiled
 from repro.sim.fast.arrays import MAX_WINDOW_BITS, TraceArrays, history_windows
 from repro.sim.fast.planes import _folded_series
 
-__all__ = ["perceptron_fast_run", "ogehl_fast_run"]
+__all__ = ["perceptron_fast_run", "ogehl_fast_run", "ogehl_width_reason"]
 
 #: Longest perceptron history whose packed window fits an int64 lane.
 MAX_PERCEPTRON_HISTORY = MAX_WINDOW_BITS
@@ -160,6 +156,25 @@ def perceptron_fast_run(
     return predictions, high
 
 
+def ogehl_width_reason(predictor: OgehlPredictor) -> str | None:
+    """Why an O-GEHL predictor's counters overflow the kernel (None =
+    they fit).
+
+    The kernel's prediction sum ``2 * sum(counters) + n_tables`` spans
+    ``±n_tables * (2**counter_bits - 1)`` and its doubled partial sum
+    reaches ``-n_tables * 2**counter_bits``; both fit an int64 exactly
+    when ``n_tables * 2**counter_bits <= 2**63``, which also bounds the
+    counters themselves.
+    """
+    if predictor.n_tables << predictor.counter_bits > 1 << 63:
+        return (
+            f"O-GEHL counter_bits {predictor.counter_bits} with "
+            f"{predictor.n_tables} tables overflows the kernel's int64 "
+            "prediction sum"
+        )
+    return None
+
+
 def _ogehl_index_planes(
     arrays: TraceArrays, predictor: OgehlPredictor
 ) -> np.ndarray:
@@ -189,73 +204,29 @@ def ogehl_fast_run(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-branch (predictions, self-confidence flags) of O-GEHL.
 
+    The power-on threshold starts the TC walk (``predictor.threshold``
+    is live state the reference run mutates), and each branch's
+    confidence is judged against the pre-update threshold: assess
+    happens between predict and train.
+
     Raises:
-        FastBackendUnsupported: for subclassed predictors.
+        FastBackendUnsupported: for subclassed predictors, counters too
+            wide for the int64 kernel, or no C kernel.
     """
     if type(predictor) is not OgehlPredictor:
         raise FastBackendUnsupported(
             f"predictor {getattr(predictor, 'name', type(predictor).__name__)!r} "
             "is not the (non-subclassed) O-GEHL predictor"
         )
+    reason = ogehl_width_reason(predictor)
+    if reason is not None:
+        raise FastBackendUnsupported(reason)
+    kernel = compiled.load_kernel("ogehl")
     n = len(arrays)
     planes = _ogehl_index_planes(arrays, predictor)
-    n_tables = predictor.n_tables
-    ctr_max = predictor._ctr_max
-    ctr_min = predictor._ctr_min
-
-    kernel = compiled.resolve_ogehl_kernel()
-    if kernel is not None and n > 0:
-        takens64 = np.ascontiguousarray(arrays.takens, dtype=np.int64)
-        predictions_u8 = np.zeros(n, dtype=np.uint8)
-        high_u8 = np.zeros(n, dtype=np.uint8)
-        kernel(takens64, planes, ctr_max, ctr_min,
-               predictor.log_entries, predictions_u8, high_u8)
-        return predictions_u8.astype(bool), high_u8.astype(bool)
-
-    # repro: parity-begin ogehl-run/pure fingerprint=2528c251
-    plane_lists = [row.tolist() for row in planes]
-    tables = [[0] * (1 << predictor.log_entries) for _ in range(n_tables)]
-    # Power-on threshold (``predictor.threshold`` is live TC state the
-    # reference run mutates; the kernel starts from reset like every
-    # other table above).
-    threshold = n_tables
-    threshold_counter = 0
-    takens = arrays.takens.tolist()
-
-    predictions = np.empty(n, dtype=bool)
-    high = np.empty(n, dtype=bool)
-    for t in range(n):
-        total = 0
-        for table in range(n_tables):
-            total += tables[table][plane_lists[table][t]]
-        total = 2 * total + n_tables
-        prediction = total >= 0
-        predictions[t] = prediction
-        magnitude = total if total >= 0 else -total
-        # Assess happens between predict and train: the threshold this
-        # branch's confidence is judged against is the pre-update one.
-        high[t] = magnitude >= threshold
-        taken = takens[t] == 1
-        mispredicted = prediction != taken
-        if mispredicted or magnitude < threshold:
-            for table in range(n_tables):
-                index = plane_lists[table][t]
-                counter = tables[table][index]
-                if taken:
-                    if counter < ctr_max:
-                        tables[table][index] = counter + 1
-                elif counter > ctr_min:
-                    tables[table][index] = counter - 1
-        if mispredicted:
-            threshold_counter += 1
-            if threshold_counter >= 4:
-                threshold_counter = 0
-                threshold += 1
-        elif magnitude < threshold:
-            threshold_counter -= 1
-            if threshold_counter <= -4:
-                threshold_counter = 0
-                if threshold > 1:
-                    threshold -= 1
-    # repro: parity-end ogehl-run/pure
-    return predictions, high
+    predictions = np.zeros(n, dtype=np.uint8)
+    high = np.zeros(n, dtype=np.uint8)
+    kernel(np.ascontiguousarray(arrays.takens, dtype=np.int64), planes,
+           predictor._ctr_max, predictor._ctr_min, predictor.log_entries,
+           predictions, high)
+    return predictions.astype(bool), high.astype(bool)

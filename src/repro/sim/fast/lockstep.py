@@ -8,8 +8,8 @@ geometry ``(log_bimodal, component geometries)`` that determines the
 precomputed index/tag planes.  Running those cells as independent jobs
 re-walks (and on first touch, re-computes) the same planes once per
 cell; running them *in lockstep* decodes the planes once and advances
-every cell through a single batched kernel pass.  With the C kernel
-that pass is one call for the whole group (compiled × batched).
+every cell through a single batched kernel pass: one C kernel call
+for the whole group.
 
 Cells never interact — each owns its table state — so a lockstep batch
 is bit-identical to the same cells run independently (enforced by

@@ -1,4 +1,4 @@
-"""Fast TAGE engine: precomputed planes + a lean sequential kernel.
+"""Fast TAGE engine: precomputed planes + the batched C kernel.
 
 The reference :class:`~repro.predictors.tage.predictor.TagePredictor`
 spends almost all of its per-branch time on index/tag arithmetic: every
@@ -8,10 +8,11 @@ depends only on the PC and the *resolved* outcome/path histories, so
 :mod:`repro.sim.fast.planes` precomputes it for the whole trace with
 vectorized NumPy.  What remains genuinely sequential — provider/altpred
 selection, counter and useful-counter updates, allocation and the
-``USE_ALT_ON_NA`` monitor all feed back through table state — runs here
-as one tight Python loop over packed structure-of-arrays table state
-(per-component ``ctr``/``tag``/``u`` int lists) with zero per-step
-object allocation, attribute access or dict lookups.
+``USE_ALT_ON_NA`` monitor all feed back through table state — runs in
+the C kernel of :mod:`repro.sim.fast.compiled` over flat table arrays.
+This module validates cells, packs their parameters and unpacks the
+kernel's counts into :class:`~repro.sim.engine.SimulationResult`
+objects and observation streams.
 
 Bit-for-bit equivalence with the reference engine (enforced by
 ``tests/equivalence/`` and ``tests/golden/``) includes every stateful
@@ -26,17 +27,14 @@ from the class the kernel just computed, adapting the live ``prob_k``
 the LFSR gate reads) and for the per-branch observation streams the
 apps layer replays (:func:`observe_tage_fast`).
 
+Cells the kernel cannot hold bit-exactly — fields wider than its int64
+slots (:func:`tage_width_reason`) — and every cell when no C compiler could
+build the kernel raise
+:class:`~repro.sim.backends.FastBackendUnsupported`; the dispatchers
+turn that into a warning and a reference-engine run.
+
 The predictor and estimator instances are only read for configuration
 and are left in their power-on state, like the rest of the fast backend.
-
-The sequential loop below is the ``pure`` side of the ``tage-batch``
-parity group: the region between its ``repro: parity-begin`` and
-``repro: parity-end`` comments must change in lockstep with its C
-translation in :mod:`repro.sim.fast.compiled`.  Both sides record the
-same group-wide fingerprint, so ``repro lint`` (rule RPR004) fails when
-one side changes until the author has visited the other, re-run the
-differential suites, and stamped the new fingerprint printed in the
-finding — see :mod:`repro.analysis.rules.parity` for the convention.
 """
 
 from __future__ import annotations
@@ -70,11 +68,22 @@ __all__ = [
     "tage_fast_predictions",
     "observe_tage_fast",
     "controller_unsupported_reason",
+    "tage_width_reason",
     "resolve_planes",
 ]
 
 _MASK32 = 0xFFFFFFFF
-_LFSR_TAPS = 0xA3000000
+
+#: Widest TAGE field whose kernel value fits an int64: tags live in the
+#: int64 tag planes; the counter, useful-counter and ``USE_ALT_ON_NA``
+#: bounds and the estimator's ``(1 << ctr_bits) - 1`` are packed into
+#: int64 parameter slots.
+_MAX_FIELD_BITS = (
+    ("tag_bits", 63),
+    ("ctr_bits", 63),
+    ("u_bits", 63),
+    ("use_alt_on_na_bits", 64),
+)
 
 #: Class codes the §6.2 controller counts (HIGH = high-conf-bim ∪ Stag),
 #: derived from the canonical level mapping so the kernel can never
@@ -116,8 +125,23 @@ def controller_unsupported_reason(predictor, controller) -> str | None:
     return None
 
 
+def tage_width_reason(config) -> str | None:
+    """Why a TAGE config has a field too wide for the kernel (None = it
+    fits).  Shared by :func:`_check_tage_cell` and the capability query
+    in :mod:`repro.sim.fast.engine`."""
+    for field, limit in _MAX_FIELD_BITS:
+        bits = getattr(config, field)
+        if bits > limit:
+            return (
+                f"TAGE {field} {bits} exceeds the kernel's int64 width "
+                f"({limit} bits)"
+            )
+    return None
+
+
 def _check_tage_cell(predictor, estimator, controller=None) -> None:
-    """Raise for anything outside the kernel's bit-exact family."""
+    """Raise for anything outside the kernel's bit-exact family, or when
+    the C kernel is unavailable."""
     if type(predictor) is not TagePredictor:
         raise FastBackendUnsupported(
             f"predictor {getattr(predictor, 'name', type(predictor).__name__)!r} "
@@ -132,6 +156,12 @@ def _check_tage_cell(predictor, estimator, controller=None) -> None:
         reason = controller_unsupported_reason(predictor, controller)
         if reason is not None:
             raise FastBackendUnsupported(reason)
+    reason = tage_width_reason(predictor.config)
+    if reason is None and estimator is not None:
+        reason = tage_width_reason(estimator.predictor.config)
+    if reason is not None:
+        raise FastBackendUnsupported(reason)
+    compiled.load_kernel("tage")
 
 
 def resolve_planes(
@@ -162,22 +192,9 @@ def resolve_planes(
     return cache.load_or_compute(arrays, geometry)
 
 
-# repro: parity-begin tage-batch/pure fingerprint=8b663460
-def _kernel(
-    config,
-    planes: TagePlanes,
-    estimator_window: int | None,
-    max_strength: int,
-    warmup: int,
-    want_predictions: bool,
-    initial_k: int | None = None,
-    controller_params: tuple | None = None,
-    want_classes: bool = False,
-):
-    """One pass over the trace; returns (mispredictions, class counts,
-    predictions, class codes, final sat-prob log2).  Everything below is
-    deliberately inlined — this loop is the fast backend's only
-    remaining per-branch cost.
+def _cell_params(config, estimator_window, max_strength, warmup,
+                 initial_k, controller_params):
+    """One cell's packed parameter rows for the batched C kernel.
 
     ``initial_k`` overrides the config's ``sat_prob_log2`` with the
     automaton's *live* value (the §6.2 controller may have moved it
@@ -187,268 +204,9 @@ def _kernel(
     exactly like :meth:`AdaptiveSaturationController.observe` and the
     probability adapts at window boundaries *before* the branch's own
     counter update, so the LFSR draw stream is identical to the
-    reference engine's."""
-    n_tagged = config.n_tagged
-    takens = planes.takens.tolist()
-    bim_idx = planes.bimodal_indices.tolist()
-    idx_planes = [planes.index_plane(i + 1).tolist() for i in range(n_tagged)]
-    tag_planes = [planes.tag_plane(i + 1).tolist() for i in range(n_tagged)]
-
-    size = 1 << config.log_tagged
-    ctr_tables = [[0] * size for _ in range(n_tagged)]
-    tag_tables = [[0] * size for _ in range(n_tagged)]
-    u_tables = [[0] * size for _ in range(n_tagged)]
-    bimodal = [2] * (1 << config.log_bimodal)
-
-    cmax = (1 << (config.ctr_bits - 1)) - 1
-    cmin = -(1 << (config.ctr_bits - 1))
-    u_max = (1 << config.u_bits) - 1
-    u_reset = config.u_reset_period
-    use_alt_enabled = config.use_alt_on_na_enabled
-    use_alt_max = (1 << (config.use_alt_on_na_bits - 1)) - 1
-    use_alt_min = -(1 << (config.use_alt_on_na_bits - 1))
-    use_alt = 0
-    update_alt = config.update_alt_when_u_zero
-    randomized = config.allocation_policy == "randomized"
-
-    if config.automaton == AUTOMATON_PROBABILISTIC:
-        prob_k = config.sat_prob_log2 if initial_k is None else initial_k
-    else:
-        prob_k = None
-    lfsr_state = config.lfsr_seed & _MASK32 or 0xDEADBEEF
-    alloc_state = config.alloc_seed & _MASK32 or 0x12345678
-
-    def update_ctr(ctrs: list, index: int, taken: int) -> None:
-        """Saturating counter step, standard or §6 probabilistic.
-
-        Replicates the reference LFSR draw exactly: ``sat_prob_log2``
-        Galois steps, consumed only on the transition into saturation
-        (and none at all when the probability is 1)."""
-        nonlocal lfsr_state
-        c = ctrs[index]
-        if taken:
-            if c >= cmax:
-                return
-            if prob_k is not None and c == cmax - 1 and prob_k:
-                state = lfsr_state
-                any_set = 0
-                for _ in range(prob_k):
-                    lsb = state & 1
-                    state >>= 1
-                    if lsb:
-                        state ^= _LFSR_TAPS
-                        any_set = 1
-                lfsr_state = state
-                if any_set:
-                    return
-            ctrs[index] = c + 1
-        else:
-            if c <= cmin:
-                return
-            if prob_k is not None and c == cmin + 1 and prob_k:
-                state = lfsr_state
-                any_set = 0
-                for _ in range(prob_k):
-                    lsb = state & 1
-                    state >>= 1
-                    if lsb:
-                        state ^= _LFSR_TAPS
-                        any_set = 1
-                lfsr_state = state
-                if any_set:
-                    return
-            ctrs[index] = c - 1
-
-    mispredictions = 0
-    pred_counts = [0] * 7
-    misp_counts = [0] * 7
-    since_miss = estimator_window if estimator_window is not None else 0
-    predictions: list | None = [] if want_predictions else None
-    class_codes: list | None = [] if want_classes else None
-
-    if controller_params is not None:
-        ctrl_target, ctrl_window, ctrl_min, ctrl_max, ctrl_relax = controller_params
-    else:
-        ctrl_window = 0
-    ctrl_high = 0
-    ctrl_misp = 0
-    high_codes = _HIGH_CLASS_CODES
-
-    for t in range(len(takens)):
-        taken = takens[t]
-
-        # -- provider scan: longest hitting component, then the next one.
-        provider = 0
-        provider_idx = 0
-        alt = 0
-        alt_idx = 0
-        i = n_tagged - 1
-        while i >= 0:
-            idx = idx_planes[i][t]
-            if tag_tables[i][idx] == tag_planes[i][t]:
-                if provider:
-                    alt = i + 1
-                    alt_idx = idx
-                    break
-                provider = i + 1
-                provider_idx = idx
-            i -= 1
-
-        bidx = bim_idx[t]
-        bctr = bimodal[bidx]
-
-        # -- prediction (§3.1): provider sign, unless USE_ALT_ON_NA
-        #    redirects a weak provider to the alternate prediction.
-        if provider:
-            ctr = ctr_tables[provider - 1][provider_idx]
-            provider_pred = ctr >= 0
-            weak = -1 <= ctr <= 0
-            altpred = (
-                ctr_tables[alt - 1][alt_idx] >= 0 if alt else bctr >= 2
-            )
-            if weak and use_alt_enabled and use_alt >= 0:
-                prediction = altpred
-            else:
-                prediction = provider_pred
-        else:
-            ctr = bctr
-            prediction = provider_pred = altpred = bctr >= 2
-            weak = False
-
-        mispredicted = prediction != taken
-        if mispredicted:
-            mispredictions += 1
-        if predictions is not None:
-            predictions.append(prediction)
-
-        # -- §5 observation: classify from the pre-update table outputs.
-        if estimator_window is not None:
-            if provider:
-                strength = 2 * ctr + 1
-                if strength < 0:
-                    strength = -strength
-                if strength == 1:
-                    cls = 6  # Wtag
-                elif strength == max_strength:
-                    cls = 3  # Stag
-                elif strength == max_strength - 2:
-                    cls = 4  # NStag
-                else:
-                    cls = 5  # NWtag
-            elif bctr == 1 or bctr == 2:
-                cls = 1  # low-conf-bim
-            elif since_miss < estimator_window:
-                cls = 2  # medium-conf-bim
-            else:
-                cls = 0  # high-conf-bim
-            if class_codes is not None:
-                class_codes.append(cls)
-            if t >= warmup:
-                pred_counts[cls] += 1
-                if mispredicted:
-                    misp_counts[cls] += 1
-            if not provider:
-                if mispredicted:
-                    since_miss = 0
-                elif since_miss < estimator_window:
-                    since_miss += 1
-
-            # -- §6.2 adaptive feedback, mirroring the reference order:
-            #    the controller observes (and may move the saturation
-            #    probability) *before* this branch's counter update.
-            if ctrl_window and cls in high_codes:
-                ctrl_high += 1
-                if mispredicted:
-                    ctrl_misp += 1
-                if ctrl_high >= ctrl_window:
-                    rate_mkp = 1000.0 * ctrl_misp / ctrl_high
-                    if rate_mkp > ctrl_target and prob_k < ctrl_max:
-                        prob_k += 1
-                    elif rate_mkp < ctrl_target * ctrl_relax and prob_k > ctrl_min:
-                        prob_k -= 1
-                    ctrl_high = 0
-                    ctrl_misp = 0
-
-        # -- update (§3.2/§3.3), in the reference engine's exact order.
-        allocate = mispredicted and provider < n_tagged
-        if provider and weak:
-            if provider_pred == taken:
-                allocate = False
-            if provider_pred != altpred:
-                if altpred == taken:
-                    if use_alt < use_alt_max:
-                        use_alt += 1
-                elif use_alt > use_alt_min:
-                    use_alt -= 1
-
-        if allocate:
-            start = provider + 1
-            if randomized:
-                x = alloc_state
-                while start < n_tagged:
-                    x ^= (x << 13) & _MASK32
-                    x ^= x >> 17
-                    x ^= (x << 5) & _MASK32
-                    if not x & 1:
-                        break
-                    start += 1
-                alloc_state = x
-            allocated = False
-            for j in range(start - 1, n_tagged):
-                idx = idx_planes[j][t]
-                if u_tables[j][idx] == 0:
-                    ctr_tables[j][idx] = 0 if taken else -1
-                    tag_tables[j][idx] = tag_planes[j][t]
-                    allocated = True
-                    break
-            if not allocated:
-                for j in range(start - 1, n_tagged):
-                    idx = idx_planes[j][t]
-                    if u_tables[j][idx] > 0:
-                        u_tables[j][idx] -= 1
-
-        if provider:
-            p = provider - 1
-            update_ctr(ctr_tables[p], provider_idx, taken)
-            pu = u_tables[p]
-            if update_alt and pu[provider_idx] == 0:
-                if alt:
-                    update_ctr(ctr_tables[alt - 1], alt_idx, taken)
-                elif taken:
-                    if bimodal[bidx] < 3:
-                        bimodal[bidx] += 1
-                elif bimodal[bidx] > 0:
-                    bimodal[bidx] -= 1
-            if provider_pred != altpred:
-                uv = pu[provider_idx]
-                if provider_pred == taken:
-                    if uv < u_max:
-                        pu[provider_idx] = uv + 1
-                elif uv > 0:
-                    pu[provider_idx] = uv - 1
-        elif taken:
-            if bctr < 3:
-                bimodal[bidx] = bctr + 1
-        elif bctr > 0:
-            bimodal[bidx] = bctr - 1
-
-        # -- graceful periodic aging of the u counters.
-        if (t + 1) % u_reset == 0:
-            for u in u_tables:
-                u[:] = [value >> 1 for value in u]
-
-    return mispredictions, pred_counts, misp_counts, predictions, class_codes, prob_k
-# repro: parity-end tage-batch/pure
-
-
-def _cell_params(config, estimator_window, max_strength, warmup,
-                 initial_k, controller_params):
-    """One cell's packed parameter rows for the batched compiled kernel.
-
-    Performs exactly the config reads the top of :func:`_kernel` does
-    (including the seed masking/defaulting and the live ``initial_k``
-    override) so the packed row and the pure kernel can never disagree.
-    Layout: :mod:`repro.sim.fast.compiled` ``IP_*`` / ``FP_*`` slots.
+    reference engine's.  Zero seeds default like the reference LFSR and
+    allocator do.  Layout: :mod:`repro.sim.fast.compiled` ``IP_*`` /
+    ``FP_*`` slots.
     """
     prob_enabled = config.automaton == AUTOMATON_PROBABILISTIC
     if prob_enabled:
@@ -510,24 +268,15 @@ def _run_batch(planes: TagePlanes, cells, want_predictions: bool,
 
     ``cells`` is a list of ``(config, estimator_window, max_strength,
     warmup, initial_k, controller_params)`` tuples, every config with
-    the plane geometry of ``planes``.  Returns the :func:`_kernel`
-    result tuple per cell, in order.
+    the plane geometry of ``planes``.  Returns, per cell and in order,
+    ``(mispredictions, class prediction counts, class misprediction
+    counts, predictions, class codes, final sat-prob log2)`` — one C
+    kernel call for the whole batch.
 
-    In pure mode this is a per-cell :func:`_kernel` loop; with the C
-    kernel the whole batch is one kernel call.
+    Raises:
+        FastBackendUnsupported: when the C kernel is unavailable.
     """
-    kernel = compiled.resolve_tage_kernel()
-    if kernel is None:
-        return [
-            _kernel(
-                config, planes, estimator_window, max_strength, warmup,
-                want_predictions, initial_k=initial_k,
-                controller_params=controller_params,
-                want_classes=want_classes,
-            )
-            for (config, estimator_window, max_strength, warmup,
-                 initial_k, controller_params) in cells
-        ]
+    kernel = compiled.load_kernel("tage")
     n = len(planes)
     n_tagged = cells[0][0].n_tagged
     takens, bim_idx, idx_planes, tag_planes = _batch_arrays(planes, n_tagged)

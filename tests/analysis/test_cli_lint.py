@@ -31,8 +31,9 @@ def project(tmp_path, monkeypatch):
 def test_list_rules(project, capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005"):
+    for rule_id in ("RPR001", "RPR002", "RPR003", "RPR005"):
         assert rule_id in out
+    assert "RPR004" not in out  # retired; IDs are never reused
 
 
 def test_findings_exit_1_and_render(project, capsys):
@@ -81,6 +82,13 @@ def test_update_baseline_then_clean(project, capsys):
 def test_unknown_rule_is_a_usage_error(project):
     with pytest.raises(SystemExit, match="RPR999"):
         main(["lint", "src", "--rules", "RPR999"])
+
+
+def test_retired_rule_id_is_a_usage_error(project):
+    """RPR004 (the retired kernel-parity rule) is not silently accepted
+    as a no-op selection: asking for it is an unknown-rule error."""
+    with pytest.raises(SystemExit, match="RPR004"):
+        main(["lint", "src", "--rules", "RPR004"])
 
 
 def test_missing_path_is_a_usage_error(project):

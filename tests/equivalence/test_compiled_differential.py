@@ -1,13 +1,14 @@
-"""Kernel-mode differentials: pure vs the C kernel, bit for bit.
+"""C kernel differentials: the kernel vs the reference engine, bit for bit.
 
-The compiled layer (:mod:`repro.sim.fast.compiled`) may run the TAGE
-and O-GEHL inner loops through the embedded C translation; both modes
-must reproduce the reference engine exactly — saturating arithmetic,
-the LFSR probabilistic-automaton draws, allocation xorshift, the §6.2
-in-kernel controller, warmup splits and class accounting included.
-The C leg skips only when no C compiler is present; the documented
-fallback for that case (silent under ``auto``, one warning under
-``compiled``) is tested here with a ``PATH`` that holds no compiler.
+The C kernel (:mod:`repro.sim.fast.compiled`) is the one fast
+implementation of the TAGE and O-GEHL inner loops; it must reproduce
+the reference engine exactly — saturating arithmetic, the LFSR
+probabilistic-automaton draws, allocation xorshift, the §6.2 in-kernel
+controller, warmup splits and class accounting included.  The kernel
+tests skip only when no C compiler is present; the documented fallback
+for that case (TAGE and O-GEHL cells refused by the capability query,
+one warning naming the remedy, reference results) is tested here with
+a ``PATH`` that holds no compiler.
 """
 
 from __future__ import annotations
@@ -21,13 +22,29 @@ np = pytest.importorskip("numpy")
 
 from repro.confidence.adaptive import AdaptiveSaturationController
 from repro.confidence.estimator import TageConfidenceEstimator
+from repro.confidence.jrs import JrsEstimator
 from repro.confidence.self_confidence import SelfConfidenceEstimator
+from repro.predictors.gshare import GsharePredictor
 from repro.predictors.ogehl import OgehlPredictor
 from repro.predictors.tage.config import TageConfig
 from repro.predictors.tage.predictor import TagePredictor
-from repro.sim.backends import FastBackendFallbackWarning
+from repro.sim.backends import FastBackendFallbackWarning, FastBackendUnsupported
 from repro.sim.engine import simulate, simulate_binary
-from repro.sim.fast import compiled, simulate_binary_fast, simulate_tage_fast
+from repro.sim.fast import (
+    LockstepCell,
+    TraceArrays,
+    compiled,
+    observe_tage_fast,
+    ogehl_fast_run,
+    simulate_binary_fast,
+    simulate_tage_fast,
+    simulate_tage_lockstep,
+    tage_fast_predictions,
+)
+from repro.sim.observe import observe_trace
+from repro.sweep.executor import run_sweep
+from repro.sweep.spec import EstimatorSpec, ExperimentSpec, PredictorSpec
+from repro.traces.types import Trace
 
 #: Kernel-relevant configuration corners (a condensed cut of the main
 #: TAGE differential grid: every automaton/seed/width/policy family).
@@ -47,22 +64,12 @@ CONFIGS = [
                                             sat_prob_log2=3)),
 ]
 
-#: Every selectable kernel leg; the C leg skips when it cannot be built.
-KERNEL_LEGS = ("pure", "cext")
-
-
-@pytest.fixture(params=KERNEL_LEGS)
-def kernel_leg(request, monkeypatch):
-    """Pin one kernel mode for the duration of a test."""
-    leg = request.param
-    if leg == "pure":
-        monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "pure")
-    else:
-        monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "compiled")
-        if compiled.active_provider() != leg:
-            pytest.skip(f"C kernel unavailable "
-                        f"({compiled.provider_unavailable_reason()})")
-    return leg
+@pytest.fixture
+def cext():
+    """Skip when the C kernel cannot be built on this box."""
+    if compiled.active_provider() is None:
+        pytest.skip(f"C kernel unavailable "
+                    f"({compiled.provider_unavailable_reason()})")
 
 
 @pytest.fixture
@@ -78,15 +85,14 @@ def no_compiler(monkeypatch, tmp_path):
     monkeypatch.delenv("CC", raising=False)
     monkeypatch.setenv(compiled.CACHE_ENV, str(tmp_path / "kernels"))
     compiled._reset_provider_cache()
-    compiled._reset_missing_warning()
     yield
     compiled._reset_provider_cache()
-    compiled._reset_missing_warning()
 
 
-def test_some_compiled_leg_is_exercised():
-    """The suite must not silently degrade to pure-only coverage: the
-    C translation needs nothing but a C compiler, which CI always has."""
+def test_the_c_kernel_is_exercised():
+    """The suite must not silently degrade to comparing the reference
+    engine with itself: the C kernel needs nothing but a C compiler,
+    which CI always has."""
     if compiled.active_provider() is None:
         pytest.skip(f"C kernel unavailable on this box "
                     f"({compiled.provider_unavailable_reason()})")
@@ -94,7 +100,7 @@ def test_some_compiled_leg_is_exercised():
 
 
 @pytest.mark.parametrize("label,make_config", CONFIGS, ids=[l for l, _ in CONFIGS])
-def test_tage_kernel_matches_reference(kernel_leg, int1_trace, label, make_config):
+def test_tage_kernel_matches_reference(cext, int1_trace, label, make_config):
     reference = simulate(int1_trace, TagePredictor(make_config()))
     fast = simulate_tage_fast(int1_trace, TagePredictor(make_config()))
     assert fast == reference
@@ -102,7 +108,7 @@ def test_tage_kernel_matches_reference(kernel_leg, int1_trace, label, make_confi
 
 @pytest.mark.parametrize("label,make_config", CONFIGS[:4] + CONFIGS[-1:],
                          ids=[l for l, _ in CONFIGS[:4] + CONFIGS[-1:]])
-def test_observation_run_matches_reference(kernel_leg, twolf_trace, label,
+def test_observation_run_matches_reference(cext, twolf_trace, label,
                                            make_config):
     warmup = len(twolf_trace) // 4
 
@@ -118,7 +124,7 @@ def test_observation_run_matches_reference(kernel_leg, twolf_trace, label,
     assert fast.binary_confusion() == reference.binary_confusion()
 
 
-def test_adaptive_controller_matches_reference(kernel_leg, int1_trace):
+def test_adaptive_controller_matches_reference(cext, int1_trace):
     def run(engine):
         predictor = TagePredictor(
             TageConfig.small().with_probabilistic_automaton()
@@ -134,7 +140,7 @@ def test_adaptive_controller_matches_reference(kernel_leg, int1_trace):
     assert fast.final_sat_prob_log2 == reference.final_sat_prob_log2
 
 
-def test_ogehl_kernel_matches_reference(kernel_leg, int1_trace):
+def test_ogehl_kernel_matches_reference(cext, int1_trace):
     def run(engine):
         predictor = OgehlPredictor()
         return engine(int1_trace, predictor, SelfConfidenceEstimator(predictor))
@@ -142,56 +148,167 @@ def test_ogehl_kernel_matches_reference(kernel_leg, int1_trace):
     assert run(simulate_binary_fast) == run(simulate_binary)
 
 
-def test_unknown_kernel_mode_is_rejected(monkeypatch):
-    monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "turbo")
-    with pytest.raises(ValueError, match="REPRO_KERNEL"):
-        compiled.kernel_mode()
+def _empty_trace_cells():
+    """``run(trace, backend)`` for every C-kernel cell shape; each run
+    returns plain comparable values."""
+    def tage(trace, backend):
+        return simulate(trace, TagePredictor(TageConfig.small()),
+                        backend=backend)
 
+    def tage_observation(trace, backend):
+        return simulate(trace, *_tage_with_estimator(), backend=backend)
 
-def test_auto_mode_without_compiler_falls_back_silently(
-    no_compiler, monkeypatch, tiny_trace
-):
-    """``auto`` without a compiler runs pure with no warning at all, and
-    the results stay bit-identical to the reference."""
-    monkeypatch.delenv(compiled.KERNEL_MODE_ENV, raising=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", FastBackendFallbackWarning)
-        assert compiled.resolve_tage_kernel() is None
-        assert compiled.resolve_ogehl_kernel() is None
-        tage = simulate_tage_fast(tiny_trace, TagePredictor(TageConfig.small()))
-        predictor = OgehlPredictor()
-        ogehl = simulate_binary_fast(
-            tiny_trace, predictor, SelfConfidenceEstimator(predictor)
+    def tage_adaptive(trace, backend):
+        predictor = TagePredictor(
+            TageConfig.small().with_probabilistic_automaton()
         )
-    assert compiled.active_provider() is None
-    assert "no C compiler found" in compiled.provider_unavailable_reason()
-    assert tage == simulate(tiny_trace, TagePredictor(TageConfig.small()))
-    predictor = OgehlPredictor()
-    assert ogehl == simulate_binary(
-        tiny_trace, predictor, SelfConfidenceEstimator(predictor)
-    )
+        result = simulate(
+            trace, predictor, TageConfidenceEstimator(predictor),
+            controller=AdaptiveSaturationController(predictor, target_mkp=8.0),
+            backend=backend,
+        )
+        return result, result.final_sat_prob_log2
+
+    def tage_jrs(trace, backend):
+        return simulate_binary(trace, TagePredictor(TageConfig.small()),
+                               JrsEstimator(), backend=backend)
+
+    def tage_stream(trace, backend):
+        stream = observe_trace(trace, *_tage_with_estimator(), backend=backend)
+        return list(stream.predictions), list(stream.class_codes)
+
+    def ogehl(trace, backend):
+        return simulate(trace, OgehlPredictor(), backend=backend)
+
+    def ogehl_self(trace, backend):
+        predictor = OgehlPredictor()
+        return simulate_binary(trace, predictor,
+                               SelfConfidenceEstimator(predictor),
+                               backend=backend)
+
+    return {
+        "tage": tage,
+        "tage-observation": tage_observation,
+        "tage-adaptive": tage_adaptive,
+        "tage-jrs": tage_jrs,
+        "tage-stream": tage_stream,
+        "ogehl": ogehl,
+        "ogehl-self": ogehl_self,
+    }
 
 
-def test_compiled_mode_without_provider_warns_once(
-    no_compiler, monkeypatch, tiny_trace
-):
-    """Explicit ``compiled`` + no compiler: exactly one process-wide
-    warning naming the remedy, then silence — and pure results."""
-    monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "compiled")
-    with pytest.warns(FastBackendFallbackWarning,
-                      match=r"C compiler \(cc, gcc or clang\) on PATH") as record:
-        compiled.resolve_tage_kernel()
-        compiled.resolve_ogehl_kernel()
-        result = simulate_tage_fast(tiny_trace, TagePredictor(TageConfig.small()))
-    fallbacks = [w for w in record
-                 if issubclass(w.category, FastBackendFallbackWarning)]
-    assert len(fallbacks) == 1
-    assert "$CC" in str(fallbacks[0].message)
-    assert result == simulate(tiny_trace, TagePredictor(TageConfig.small()))
+EMPTY_TRACE_CELLS = _empty_trace_cells()
+
+
+@pytest.mark.parametrize("cell", sorted(EMPTY_TRACE_CELLS))
+def test_empty_trace_matches_reference(cext, cell):
+    """A zero-branch trace runs through the C kernel (no pure-Python
+    short cut is left to catch it) and yields the reference's empty
+    result, without a fallback warning."""
+    empty = Trace.from_records("empty", [])
+    run = EMPTY_TRACE_CELLS[cell]
+    reference = run(empty, "reference")
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastBackendFallbackWarning)
-        compiled.resolve_tage_kernel()
-        compiled.resolve_ogehl_kernel()
+        fast = run(empty, "fast")
+    assert fast == reference
+
+
+#: Every direct fast entry point that needs the C kernel.
+DIRECT_CALLS = {
+    "simulate_tage_fast": lambda trace: simulate_tage_fast(
+        trace, TagePredictor(TageConfig.small())),
+    "observe_tage_fast": lambda trace: observe_tage_fast(
+        trace, *_tage_with_estimator()),
+    "tage_fast_predictions": lambda trace: tage_fast_predictions(
+        TraceArrays.from_trace(trace), TagePredictor(TageConfig.small())),
+    "simulate_tage_lockstep": lambda trace: simulate_tage_lockstep(
+        trace, [LockstepCell(TagePredictor(TageConfig.small()))]),
+    "ogehl_fast_run": lambda trace: ogehl_fast_run(
+        TraceArrays.from_trace(trace), OgehlPredictor()),
+}
+
+
+def _tage_with_estimator(config=None):
+    predictor = TagePredictor(config or TageConfig.small())
+    return predictor, TageConfidenceEstimator(predictor)
+
+
+@pytest.mark.parametrize("entry", sorted(DIRECT_CALLS))
+def test_direct_calls_without_compiler_raise_with_remedy(no_compiler,
+                                                         tiny_trace, entry):
+    with pytest.raises(FastBackendUnsupported,
+                       match=r"C kernel build failed .*\$CC"):
+        DIRECT_CALLS[entry](tiny_trace)
+
+
+def _assert_falls_back(run):
+    """``run(backend)`` warns once naming the remedy on ``fast``, and
+    equals the reference run."""
+    reference = run("reference")
+    with pytest.warns(FastBackendFallbackWarning) as record:
+        fast = run("fast")
+    messages = [str(w.message) for w in record
+                if issubclass(w.category, FastBackendFallbackWarning)]
+    assert messages and all("$CC" in message for message in messages)
+    assert "no C compiler found" in messages[0]
+    assert fast == reference
+
+
+def test_simulate_without_compiler_falls_back(no_compiler, tiny_trace):
+    def run(backend):
+        predictor = TagePredictor(
+            TageConfig.small().with_probabilistic_automaton()
+        )
+        estimator = TageConfidenceEstimator(predictor)
+        controller = AdaptiveSaturationController(predictor, target_mkp=8.0)
+        result = simulate(tiny_trace, predictor, estimator,
+                          controller=controller, backend=backend)
+        return result, result.final_sat_prob_log2
+
+    _assert_falls_back(run)
+    assert compiled.active_provider() is None
+
+
+def test_simulate_binary_without_compiler_falls_back(no_compiler, tiny_trace):
+    _assert_falls_back(lambda backend: simulate_binary(
+        tiny_trace, TagePredictor(TageConfig.small()), JrsEstimator(),
+        backend=backend,
+    ))
+
+    def run_ogehl(backend):
+        predictor = OgehlPredictor()
+        return simulate_binary(tiny_trace, predictor,
+                               SelfConfidenceEstimator(predictor),
+                               backend=backend)
+
+    _assert_falls_back(run_ogehl)
+
+
+def test_observe_trace_without_compiler_falls_back(no_compiler, tiny_trace):
+    def run(backend):
+        stream = observe_trace(tiny_trace, *_tage_with_estimator(),
+                               backend=backend)
+        return stream.predictions, stream.class_codes
+
+    _assert_falls_back(run)
+
+
+def test_run_sweep_without_compiler_falls_back(no_compiler):
+    def run(backend):
+        spec = ExperimentSpec(
+            name="no-compiler",
+            predictors=(PredictorSpec.of("tage", size="16K"),
+                        PredictorSpec.of("ogehl")),
+            estimators=(EstimatorSpec.of("tage"), EstimatorSpec.of("self")),
+            traces=("INT-1",),
+            n_branches=1_500,
+            backend=backend,
+        )
+        table = run_sweep(spec, workers=1).table
+        return [(row.result, row.binary) for row in table]
+
+    _assert_falls_back(run)
 
 
 def test_capability_cli_without_compiler_reports_reason(no_compiler, capsys):
@@ -202,9 +319,20 @@ def test_capability_cli_without_compiler_reports_reason(no_compiler, capsys):
     out = capsys.readouterr().out
     (fast_row,) = [line for line in out.splitlines()
                    if line.split()[:1] == ["fast"]]
-    assert fast_row.split()[1:4] == ["yes", "no", "-"]
+    assert fast_row.split()[1:4] == ["no", "no", "-"]
+    assert "$CC" in fast_row
     assert ("compiled provider: unavailable (C kernel build failed "
             "(no C compiler found") in out
+
+
+def test_numpy_cells_run_fast_without_compiler(no_compiler, tiny_trace):
+    """Only the TAGE and O-GEHL loops need the C kernel."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FastBackendFallbackWarning)
+        fast = simulate_binary(tiny_trace, GsharePredictor(), JrsEstimator(),
+                               backend="fast")
+    assert fast == simulate_binary(tiny_trace, GsharePredictor(),
+                                   JrsEstimator())
 
 
 def _first_build_worker(barrier, results, trace):
@@ -226,7 +354,6 @@ def test_concurrent_first_builds_share_one_library(monkeypatch, tmp_path,
                     f"({compiled.provider_unavailable_reason()})")
     cache = tmp_path / "kernels"
     monkeypatch.setenv(compiled.CACHE_ENV, str(cache))
-    monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "compiled")
     n_workers = 4
     context = multiprocessing.get_context("spawn")
     barrier = context.Barrier(n_workers)
@@ -257,21 +384,3 @@ def test_concurrent_first_builds_share_one_library(monkeypatch, tmp_path,
     assert len(entries) == 1, entries
     assert entries[0].startswith("repro_kernels_")
     assert entries[0].endswith(".so")
-
-
-def test_prediction_streams_match_across_modes(int1_trace, monkeypatch):
-    """The apps-layer per-branch streams are mode-invariant too."""
-    from repro.sim.fast import TraceArrays, tage_fast_predictions
-
-    arrays = TraceArrays.from_trace(int1_trace)
-
-    def run(mode):
-        monkeypatch.setenv(compiled.KERNEL_MODE_ENV, mode)
-        predictor = TagePredictor(TageConfig.small())
-        return tage_fast_predictions(arrays, predictor)
-
-    pure = run("pure")
-    if compiled.active_provider() is None:
-        pytest.skip("C kernel unavailable on this box")
-    auto = run("auto")
-    assert np.array_equal(pure, auto)

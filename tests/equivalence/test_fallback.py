@@ -37,6 +37,8 @@ from repro.sim.backends import (
 )
 from repro.sim.engine import simulate, simulate_binary
 from repro.sim.fast import simulate_binary_fast, simulate_fast
+from repro.sim.fast.gehl import ogehl_width_reason
+from repro.sim.fast.tage import tage_width_reason
 from repro.sim.runner import build_predictor, run_trace
 from repro.sweep.executor import execute_job
 from repro.sweep.spec import EstimatorSpec, JobSpec, PredictorSpec
@@ -124,18 +126,20 @@ def test_capability_reports_lockstep_for_tage_accuracy_cells():
     assert not _capability(OgehlPredictor()).lockstep
 
 
-def test_capability_compiled_flag_tracks_kernel_mode(monkeypatch):
+def test_capability_compiled_flag_names_the_c_kernel():
+    """TAGE and O-GEHL cells run on the C kernel; the NumPy cells do not."""
     from repro.sim.fast import compiled
 
+    if compiled.active_provider() is None:
+        pytest.skip("C kernel unavailable on this box")
     tage = build_predictor("16K")
-    monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "pure")
-    assert not _capability(tage, TageConfidenceEstimator(tage)).compiled
-
-    monkeypatch.delenv(compiled.KERNEL_MODE_ENV, raising=False)
-    capability = _capability(tage, TageConfidenceEstimator(tage))
-    assert capability.compiled == (compiled.active_provider() is not None)
-    if capability.compiled:
-        assert capability.compiled_provider == compiled.active_provider()
+    for capability in (_capability(tage, TageConfidenceEstimator(tage)),
+                       _capability(OgehlPredictor())):
+        assert capability.compiled
+        assert capability.compiled_provider == compiled.COMPILED_PROVIDER
+    capability = _capability(GsharePredictor(), JrsEstimator(), binary=True)
+    assert not capability.compiled
+    assert capability.compiled_provider is None
 
 
 def test_reference_backend_supports_everything():
@@ -245,29 +249,119 @@ def test_fast_engine_raises_for_oversized_history(tiny_trace):
     assert fallback == reference
 
 
-def test_oversized_numeric_widths_fall_back_instead_of_overflowing(tiny_trace):
-    """Regression: widths beyond what int64 tables can represent must
-    take the warn-and-fall-back path, not crash with OverflowError."""
-    def run_wide_perceptron(backend):
-        predictor = PerceptronPredictor(weight_bits=65)
-        return simulate_binary(
-            tiny_trace, predictor, SelfConfidenceEstimator(predictor),
-            backend=backend,
-        )
+def _self_confident(make_predictor):
+    def run(trace, backend):
+        predictor = make_predictor()
+        return simulate_binary(trace, predictor,
+                               SelfConfidenceEstimator(predictor),
+                               backend=backend)
+    return run
 
-    reference = run_wide_perceptron("reference")
-    with pytest.warns(FastBackendFallbackWarning, match="weight_bits"):
-        fallback = run_wide_perceptron("fast")
+
+def _tage(with_estimator=False, **fields):
+    def run(trace, backend):
+        predictor = build_predictor("16K", **fields)
+        estimator = TageConfidenceEstimator(predictor) if with_estimator else None
+        return simulate(trace, predictor, estimator, backend=backend)
+    return run
+
+
+#: (label, run(trace, backend), the field the fallback warning names).
+#: Each width is one past what the int64 kernels hold exactly.
+OVERSIZED = [
+    ("perceptron", _self_confident(lambda: PerceptronPredictor(weight_bits=65)),
+     "weight_bits"),
+    ("jrs", lambda trace, backend: simulate_binary(
+        trace, GsharePredictor(), JrsEstimator(counter_bits=70, threshold=15),
+        backend=backend), "counter_bits"),
+    ("ogehl", _self_confident(lambda: OgehlPredictor(counter_bits=61)),
+     "counter_bits 61"),
+    ("tage-tag", _tage(tag_bits=64), "tag_bits"),
+    ("tage-ctr", _tage(with_estimator=True, ctr_bits=64), "ctr_bits"),
+    ("tage-u", _tage(u_bits=64), "u_bits"),
+    ("tage-use-alt", _tage(use_alt_on_na_bits=65), "use_alt_on_na_bits"),
+]
+
+
+@pytest.mark.parametrize("label,run,field", OVERSIZED,
+                         ids=[label for label, _, _ in OVERSIZED])
+def test_oversized_numeric_widths_fall_back_instead_of_overflowing(
+    tiny_trace, label, run, field
+):
+    """Regression: widths beyond what int64 tables and kernel slots can
+    represent must take the warn-and-fall-back path, not crash with
+    OverflowError or silently truncate."""
+    reference = run(tiny_trace, "reference")
+    with pytest.warns(FastBackendFallbackWarning, match=field):
+        fallback = run(tiny_trace, "fast")
     assert fallback == reference
 
-    wide_jrs = JrsEstimator(counter_bits=70, threshold=15)
-    reference = simulate_binary(tiny_trace, GsharePredictor(), wide_jrs)
-    with pytest.warns(FastBackendFallbackWarning, match="counter_bits"):
-        fallback = simulate_binary(
-            tiny_trace, GsharePredictor(), JrsEstimator(counter_bits=70, threshold=15),
-            backend="fast",
-        )
-    assert fallback == reference
+
+def test_widest_tage_fields_run_fast(tiny_trace):
+    """63/63/63/64 (tag/ctr/u/USE_ALT_ON_NA bits) is the widest config
+    the kernel holds exactly; it must stay on the fast path."""
+    def run(backend):
+        predictor = build_predictor("16K", tag_bits=63, ctr_bits=63, u_bits=63,
+                                    use_alt_on_na_bits=64)
+        return simulate(tiny_trace, predictor,
+                        TageConfidenceEstimator(predictor), backend=backend)
+
+    reference = run("reference")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FastBackendFallbackWarning)
+        fast = run("fast")
+    assert fast == reference
+
+
+#: Widest TAGE field the kernel holds exactly (int64 tag planes and
+#: parameter slots; ``USE_ALT_ON_NA`` is a signed counter, so 64 bits fit).
+_TAGE_WIDEST = [("tag_bits", 63), ("ctr_bits", 63), ("u_bits", 63),
+                ("use_alt_on_na_bits", 64)]
+
+
+@pytest.mark.parametrize("field,limit", _TAGE_WIDEST,
+                         ids=[field for field, _ in _TAGE_WIDEST])
+def test_tage_width_bound_is_exact(field, limit):
+    """Each TAGE field is accepted at its int64 limit and refused, by
+    name, one bit past it — by the kernel predicate and the capability
+    query alike."""
+    assert tage_width_reason(build_predictor("16K", **{field: limit}).config) is None
+    oversized = build_predictor("16K", **{field: limit + 1})
+    assert field in tage_width_reason(oversized.config)
+    capability = _capability(oversized, TageConfidenceEstimator(oversized))
+    assert not capability
+    assert field in capability.reason
+
+
+#: (n_tables, widest counter_bits with n_tables * 2**counter_bits <= 2**63).
+_OGEHL_WIDEST = [(2, 62), (3, 61), (8, 60), (12, 59)]
+
+
+@pytest.mark.parametrize("n_tables,widest", _OGEHL_WIDEST,
+                         ids=[f"{n}-tables" for n, _ in _OGEHL_WIDEST])
+def test_ogehl_width_bound_is_exact(n_tables, widest):
+    """The O-GEHL bound tracks the table count: the prediction sum
+    ``2 * sum(counters) + n_tables`` must fit an int64."""
+    fits = OgehlPredictor(n_tables=n_tables, counter_bits=widest)
+    assert ogehl_width_reason(fits) is None
+    oversized = OgehlPredictor(n_tables=n_tables, counter_bits=widest + 1)
+    assert f"counter_bits {widest + 1}" in ogehl_width_reason(oversized)
+    capability = _capability(oversized, SelfConfidenceEstimator(oversized),
+                             binary=True)
+    assert not capability
+    assert f"counter_bits {widest + 1}" in capability.reason
+
+
+def test_widest_ogehl_counters_run_fast(tiny_trace):
+    """60-bit counters over 8 tables is the widest default-geometry
+    O-GEHL the kernel sums exactly; it must stay on the fast path and
+    equal the reference (no truncated bounds, no wrapped sum)."""
+    run = _self_confident(lambda: OgehlPredictor(counter_bits=60))
+    reference = run(tiny_trace, "reference")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FastBackendFallbackWarning)
+        fast = run(tiny_trace, "fast")
+    assert fast == reference
 
 
 def test_fast_engine_raises_for_subclassed_self_confidence(tiny_trace):

@@ -63,9 +63,7 @@ def _make_cell(make_config, *, estimator=True, adaptive=False, warmup=0):
     return LockstepCell(predictor, est, controller, warmup)
 
 
-@pytest.mark.parametrize("kernel", ["pure", "auto"])
-def test_lockstep_matches_independent_runs(serv1_trace, monkeypatch, kernel):
-    monkeypatch.setenv("REPRO_KERNEL", kernel)
+def test_lockstep_matches_independent_runs(serv1_trace):
     make_batch = lambda: (
         [_make_cell(make) for _, make in ABLATION]
         + [
