@@ -15,7 +15,9 @@ Sharing layers:
   shared by every bench, so artifacts needing the same sweep (Table 1
   and Figure 2 both need the standard-automaton CBP-1 runs) only
   simulate it once — the first bench to request it pays the wall-clock
-  cost, which is what its pytest-benchmark timing reports;
+  cost, which is what its pytest-benchmark timing reports; its worker
+  pool (``REPRO_BENCH_WORKERS`` > 1) lives for the session and is shut
+  down when the session ends;
 * on-disk (opt-in): set ``REPRO_BENCH_CACHE=<dir>`` to serve repeated
   bench sessions from the sweep result cache, and
   ``REPRO_BENCH_WORKERS=<n>`` to fan the simulations out over a worker
@@ -94,6 +96,14 @@ def bench_cache() -> ResultCache | None:
 def bench_service() -> SweepService:
     """The session-wide sweep service every bench artifact goes through."""
     return SweepService(workers=bench_workers(), cache=bench_cache())
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _close_bench_service():
+    """Shut the session service's worker pool down after the last bench."""
+    yield
+    if bench_service.cache_info().currsize:
+        bench_service().close()
 
 
 @functools.lru_cache(maxsize=64)

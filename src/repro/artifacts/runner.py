@@ -225,16 +225,18 @@ def run_paper(
     """
     scale = scale or Scale.full()
     specs = select_artifacts(keys)
-    service = SweepService(
-        workers=workers, cache=cache, backend=backend, progress=progress,
-        run_id=run_id, resume=resume,
-    )
     start = time.perf_counter()
     results = []
-    for spec in specs:
-        if progress:
-            progress(f"[{spec.key}] {spec.paper_element}: {spec.title}")
-        results.append(build_artifact(spec, service, scale))
+    # One worker pool for the whole pipeline; leaving the block shuts it
+    # down on success, SweepInterrupted and errors alike.
+    with SweepService(
+        workers=workers, cache=cache, backend=backend, progress=progress,
+        run_id=run_id, resume=resume,
+    ) as service:
+        for spec in specs:
+            if progress:
+                progress(f"[{spec.key}] {spec.paper_element}: {spec.title}")
+            results.append(build_artifact(spec, service, scale))
     run = PaperRun(
         artifacts=tuple(results),
         scale=scale,

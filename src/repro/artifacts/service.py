@@ -16,9 +16,16 @@ sharing layers sit underneath:
   share plane memmaps under ``<cache>/planes``, and an immediate re-run
   of the whole pipeline executes nothing at all.
 
-The service also owns the run accounting the ``repro paper`` CLI and CI
-rely on: after a pipeline pass, ``n_executed == 0`` proves the run was
-fully cache-served.
+The service also owns the sweep worker pool: one
+:class:`~repro.sweep.broker.WorkerPool` for its whole lifetime, forked
+lazily at the first sweep that has jobs to run on workers (a fully
+cache-served session forks nothing) and shut down by :meth:`close` —
+use the service as a context manager.  Workers therefore keep their
+trace and plane memos from one grid to the next.
+
+Finally the service owns the run accounting the ``repro paper`` CLI and
+CI rely on: after a pipeline pass, ``n_executed == 0`` proves the run
+was fully cache-served.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from typing import Callable
 
 from repro.sim.backends import DEFAULT_BACKEND, validate_backend
 from repro.sim.stats import SuiteSummary
+from repro.sweep.broker import WorkerPool
 from repro.sweep.cache import ResultCache
 from repro.sweep.executor import SweepRun, run_sweep
 from repro.sweep.spec import ExperimentSpec
@@ -55,7 +63,19 @@ class SweepService:
         self.run_id = run_id
         self.resume = resume
         self.max_retries = max_retries
+        self.pool = WorkerPool()
         self._runs: dict[str, SweepRun] = {}
+
+    def close(self) -> None:
+        """Shut the worker pool down (idempotent; a later pooled sweep
+        would fork a fresh one)."""
+        self.pool.close()
+
+    def __enter__(self) -> "SweepService":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def sweep(self, spec: ExperimentSpec) -> SweepRun:
         """Execute (or replay) one grid; memoized by spec hash.
@@ -81,6 +101,7 @@ class SweepService:
                 run_id=f"{self.run_id}.{key}" if self.run_id else None,
                 resume=self.resume,
                 max_retries=self.max_retries,
+                pool=self.pool,
             )
             self._runs[key] = run
         return run

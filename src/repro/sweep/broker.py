@@ -1,8 +1,9 @@
 """The sweep broker: dispatch, supervise, retry, quarantine, checkpoint.
 
-:class:`Broker` owns the execution of a sweep's pending jobs.  It spawns
-:mod:`repro.sweep.worker` processes (one pair of pipes each), assigns
-jobs to idle workers, and classifies everything that can go wrong:
+:class:`Broker` owns the execution of a sweep's pending jobs.  It borrows
+:mod:`repro.sweep.worker` processes (one pair of pipes each) from a
+:class:`WorkerPool`, assigns jobs to idle workers, and classifies
+everything that can go wrong:
 
 * **transient failures** (worker-reported ``transient`` errors, worker
   *crashes* — the process died holding a job — and *stalls* — the
@@ -15,7 +16,7 @@ jobs to idle workers, and classifies everything that can go wrong:
   ends with a partial result table plus a quarantine report instead of
   throwing away every other cell;
 * **SIGINT/SIGTERM**: the broker stops dispatching, journals a clean
-  ``interrupt`` checkpoint, shuts the workers down and raises
+  ``interrupt`` checkpoint, kills any worker still mid-job and raises
   :class:`SweepInterrupted` — ``repro sweep --resume <run-id>`` then
   picks up exactly the unfinished jobs.
 
@@ -23,6 +24,18 @@ Completed results are stored to the :class:`ResultCache` *as they
 arrive* (not after the run), which is what makes the journal's ``done``
 records honest: once a job is journaled done, its bytes are already on
 disk.
+
+A :class:`WorkerPool` outlives the sweeps that borrow it: a
+:class:`~repro.artifacts.service.SweepService` keeps one pool for its
+whole lifetime, so the workers' trace and plane memos carry over from
+one grid to the next instead of being rebuilt by fresh processes per
+sweep.  The pool forks lazily, at the first sweep with pending work, and
+a broker without a pool opens a private one around its single run.
+Three rules make reuse safe: the fault plan travels in every assignment
+(never in the spawn arguments), a worker heartbeats only while it holds
+a job (an idle pool never fills its result pipe), and a worker found
+dead — or still holding a job of an interrupted sweep — is respawned
+before the next sweep dispatches to it.
 
 ``workers == 1`` runs inline — no subprocesses, same retry/quarantine/
 journal semantics.  Inline, an injected ``kill`` fault takes down the
@@ -38,7 +51,7 @@ it runs.
 from __future__ import annotations
 
 import heapq
-import os
+import multiprocessing
 import signal
 import threading
 import time
@@ -59,6 +72,7 @@ __all__ = [
     "BrokerConfig",
     "QuarantinedJob",
     "SweepInterrupted",
+    "WorkerPool",
     "backoff_delay",
 ]
 
@@ -138,12 +152,12 @@ class SweepInterrupted(RuntimeError):
 class _WorkerSlot:
     """One supervised worker process with its private pipe pair."""
 
-    def __init__(self, worker_id: int, ctx, config: BrokerConfig) -> None:
+    def __init__(self, worker_id: int, ctx, heartbeat_interval: float) -> None:
         self.worker_id = worker_id
         self._ctx = ctx
-        self._config = config
+        self._heartbeat_interval = heartbeat_interval
         self.busy: tuple[int, int, JobSpec | LockstepBatch] | None = None
-        self.respawns = 0
+        self.n_spawned = 0
         self.spawn()
 
     def spawn(self) -> None:
@@ -151,11 +165,11 @@ class _WorkerSlot:
         self.result_r, result_w = self._ctx.Pipe(duplex=False)
         self.process = self._ctx.Process(
             target=worker_main,
-            args=(self.worker_id, task_r, result_w,
-                  self._config.heartbeat_interval, self._config.faults),
+            args=(self.worker_id, task_r, result_w, self._heartbeat_interval),
             daemon=True,
         )
         self.process.start()
+        self.n_spawned += 1
         # The child holds its own copies; the parent must drop these or
         # EOF detection on worker death never triggers.
         task_r.close()
@@ -164,8 +178,8 @@ class _WorkerSlot:
         self.last_beat = time.monotonic()
 
     def assign(self, index: int, attempt: int,
-               job: JobSpec | LockstepBatch) -> None:
-        self.task_w.send((index, attempt, job))
+               job: JobSpec | LockstepBatch, faults: str) -> None:
+        self.task_w.send((index, attempt, job, faults))
         self.busy = (index, attempt, job)
         self.last_beat = time.monotonic()
 
@@ -177,7 +191,6 @@ class _WorkerSlot:
     def respawn(self) -> None:
         self.kill()
         self._close_pipes()
-        self.respawns += 1
         self.spawn()
 
     def shutdown(self, grace: float = 1.0) -> None:
@@ -200,6 +213,62 @@ class _WorkerSlot:
                 conn.close()
             except OSError:
                 pass
+
+
+class WorkerPool:
+    """Supervised worker processes shared by every sweep that borrows them.
+
+    Nothing forks at construction: :meth:`acquire` starts workers the
+    first time a sweep needs them, so a fully cache-served session never
+    forks at all.  :meth:`close` (or leaving the ``with`` block) shuts
+    every worker down.
+    """
+
+    def __init__(self,
+                 heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL) -> None:
+        self._ctx = multiprocessing.get_context()
+        self.heartbeat_interval = heartbeat_interval
+        self._slots: list[_WorkerSlot] = []
+
+    @property
+    def n_spawned(self) -> int:
+        """Worker processes started over the pool's life, respawns included."""
+        return sum(slot.n_spawned for slot in self._slots)
+
+    def acquire(self, n: int) -> list[_WorkerSlot]:
+        """``n`` idle, live workers: forks the missing ones and respawns
+        any that died since the last sweep, before anything is sent."""
+        while len(self._slots) < n:
+            self._slots.append(
+                _WorkerSlot(len(self._slots), self._ctx, self.heartbeat_interval)
+            )
+        slots = self._slots[:n]
+        for slot in slots:
+            if not slot.process.is_alive():
+                slot.respawn()
+        return slots
+
+    def release(self, slots: list[_WorkerSlot]) -> None:
+        """Take workers back after a sweep.  A worker still holding a job
+        (the sweep was interrupted or failed) is killed, so its late
+        result can never reach the next sweep; :meth:`acquire` respawns
+        it."""
+        for slot in slots:
+            if slot.busy is not None:
+                slot.kill()
+                slot.busy = None
+
+    def close(self) -> None:
+        """Shut every worker down (idempotent)."""
+        for slot in self._slots:
+            slot.shutdown()
+        self._slots = []
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 @dataclass
@@ -225,14 +294,14 @@ class Broker:
     def __init__(
         self,
         config: BrokerConfig,
-        ctx,
+        pool: WorkerPool | None = None,
         run_id: str | None = None,
         cache=None,
         journal: RunJournal | None = None,
         progress: Callable[[str], None] | None = None,
     ) -> None:
         self.config = config
-        self._ctx = ctx
+        self.pool = pool
         self.run_id = run_id
         self.cache = cache
         self.journal = journal
@@ -424,13 +493,17 @@ class Broker:
         quarantined: list[QuarantinedJob] = []
         retry_heap: list[tuple[float, int]] = []
         ready = deque(index for index, _ in pending)
-        n_workers = min(self.config.workers, len(pending))
-        slots = [_WorkerSlot(i, self._ctx, self.config) for i in range(n_workers)]
+        owned = self.pool is None
+        pool = self.pool
+        if owned:
+            pool = WorkerPool(heartbeat_interval=self.config.heartbeat_interval)
+        slots: list[_WorkerSlot] = []
 
         def outstanding() -> int:
             return len(states) - len(self._settled)
 
         try:
+            slots = pool.acquire(min(self.config.workers, len(pending)))
             while outstanding() > 0:
                 if self._stop.is_set():
                     self._raise_interrupted(results, states)
@@ -442,7 +515,8 @@ class Broker:
                         index = ready.popleft()
                         state = states[index]
                         try:
-                            slot.assign(index, state.attempt, state.job)
+                            slot.assign(index, state.attempt, state.job,
+                                        self.config.faults)
                         except (BrokenPipeError, OSError):
                             # Dead before dispatch: requeue, respawn below.
                             ready.appendleft(index)
@@ -450,8 +524,9 @@ class Broker:
                 self._supervise(slots, states, results, quarantined, retry_heap,
                                 outstanding)
         finally:
-            for slot in slots:
-                slot.shutdown()
+            pool.release(slots)
+            if owned:
+                pool.close()
         return results, quarantined
 
     def _drain_results(self, slots, states, results, quarantined, retry_heap):
@@ -483,7 +558,7 @@ class Broker:
             slot.last_beat = time.monotonic()
             return
         if kind == "done":
-            _, _, index, attempt, outcome, _elapsed = message
+            _, _, index, attempt, outcome = message
             slot.busy = None
             slot.last_beat = time.monotonic()
             self._complete(index, states[index], outcome, results)

@@ -73,27 +73,30 @@ class ResultCache:
     def load(self, job: JobSpec) -> JobResult | None:
         """The memoized result, or None on miss/corruption.
 
-        A present-but-unreadable entry (truncated pickle, wrong type) is
-        quarantined to ``<root>/.corrupt/`` with a one-line warning
-        naming the spec hash, then reported as a miss — the sweep re-runs
-        the job and the next :meth:`store` writes a fresh entry.
+        A present-but-unreadable entry (truncated pickle, wrong type, or
+        bytes that make unpickling or the hit marking raise anything but
+        ``OSError``) is quarantined to ``<root>/.corrupt/`` with a
+        one-line warning naming the spec hash, then reported as a miss —
+        the sweep re-runs the job and the next :meth:`store` writes a
+        fresh entry.  The entry is read whole before unpickling, so a
+        corrupt length field fails against the buffer instead of asking
+        for a huge allocation.
         """
         path = self.path(job)
-        if not path.exists():
-            return None
         try:
-            with path.open("rb") as fh:
-                cached = pickle.load(fh)
+            data = path.read_bytes()
         except OSError:
             return None
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError):
+        try:
+            cached = pickle.loads(data)
+            if not isinstance(cached, JobResult):
+                raise TypeError(f"entry holds a {type(cached).__name__}")
+            return cached.cached()
+        except OSError:
+            return None
+        except Exception:  # noqa: BLE001 — any other failure is a bad entry
             self._quarantine(path, job)
             return None
-        if not isinstance(cached, JobResult):
-            self._quarantine(path, job)
-            return None
-        return cached.cached()
 
     def _quarantine(self, path: Path, job: JobSpec) -> None:
         """Move a corrupt entry aside for post-mortem instead of serving

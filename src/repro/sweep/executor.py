@@ -2,11 +2,14 @@
 
 :func:`execute_job` is the picklable unit of work: it takes one
 :class:`~repro.sweep.spec.JobSpec` (pure data), regenerates the named
-trace inside the worker process (trace synthesis is deterministic and
-memoized per process, so nothing large crosses the pipe), builds the
-job's cell with :func:`repro.sim.runner.build_cell` — the one cell
-builder, shared with lockstep batches, the capability pre-pass and the
-serving layer — and runs it on the job's backend: vectorized batch
+trace inside the worker process (trace synthesis is deterministic, so
+nothing large crosses the pipe, and memoized for the worker's lifetime:
+a :class:`~repro.sweep.broker.WorkerPool` lives as long as its owner —
+a whole :class:`~repro.artifacts.service.SweepService`, or one
+standalone :func:`run_sweep` call), builds the job's cell with
+:func:`repro.sim.runner.build_cell` — the one cell builder, shared with
+lockstep batches, the capability pre-pass and the serving layer — and
+runs it on the job's backend: vectorized batch
 execution for ``backend="fast"`` cells the fast engine supports, the
 reference stepper :func:`repro.sim.engine.step` (after a
 :class:`~repro.sim.backends.FastBackendFallbackWarning`) for the rest.
@@ -43,7 +46,6 @@ exists for subclassed components and >62-bit history windows.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import uuid
@@ -66,6 +68,7 @@ from repro.sweep.broker import (
     BrokerConfig,
     QuarantinedJob,
     SweepInterrupted,
+    WorkerPool,
 )
 from repro.sweep.cache import ResultCache
 from repro.sweep.faults import FAULTS_ENV
@@ -107,12 +110,19 @@ LOCKSTEP_MAX_BATCH = 16
 
 
 def default_workers() -> int:
-    """Pool size when the caller does not choose: one per CPU, min 2.
+    """Pool size when the caller does not choose: one per usable CPU, min 2.
 
-    The floor of 2 keeps the default path genuinely parallel (pipelined
-    pickling/execution) even on single-core containers.
+    Usable CPUs are the process's affinity set where the platform has
+    one (a host pinned to a few cores must not be oversubscribed), else
+    ``os.cpu_count()``.  The floor of 2 keeps the default path genuinely
+    parallel (pipelined pickling/execution) even on single-core
+    containers.
     """
-    return max(2, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return max(2, usable)
 
 
 def _cell_of(job: JobSpec) -> Cell:
@@ -454,6 +464,7 @@ def run_sweep(
     heartbeat_timeout: float = 30.0,
     faults: str | None = None,
     fsync_journal: bool = True,
+    pool: WorkerPool | None = None,
 ) -> SweepRun:
     """Execute every cell of a spec and aggregate the results.
 
@@ -487,6 +498,9 @@ def run_sweep(
             defaults to ``$REPRO_FAULTS``.
         fsync_journal: fsync each journal record (leave on outside
             tests; without it a crash can forget acknowledged progress).
+        pool: a :class:`~repro.sweep.broker.WorkerPool` to borrow
+            workers from (the caller owns and closes it); None opens a
+            private pool around this call when it needs workers.
 
     Returns:
         A :class:`SweepRun` whose table preserves grid order (minus any
@@ -561,7 +575,7 @@ def run_sweep(
                     heartbeat_timeout=heartbeat_timeout,
                     faults=faults,
                 ),
-                ctx=multiprocessing.get_context(),
+                pool=pool,
                 run_id=run_id,
                 cache=cache,
                 journal=journal,

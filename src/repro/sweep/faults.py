@@ -24,10 +24,13 @@ A fault plan is a semicolon-separated list of directives::
   quarantine.
 
 The plan travels as plain text — the ``REPRO_FAULTS`` environment
-variable or the ``faults=`` argument to ``run_sweep`` — so worker
-*processes* reconstruct the same injector from the same string, and an
-attempt number in the dispatch message is all the shared state the
-"fail N times then succeed" faults need.
+variable or the ``faults=`` argument to ``run_sweep`` — and the broker
+sends it with every job assignment, so a worker rebuilds the injector
+from the assignment itself: the injector is a pure function of (job
+index, attempt), and a pooled worker that serves several sweeps never
+carries one sweep's plan into the next.  The attempt number in the
+dispatch message is all the shared state the "fail N times then
+succeed" faults need.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ class FaultInjector:
         return cls.parse((environ or os.environ).get(FAULTS_ENV))
 
     def text(self) -> str:
-        """Round-trippable plan string (how the plan reaches workers)."""
+        """Round-trippable plan string."""
         return ";".join(fault.text() for fault in self.faults)
 
     def __bool__(self) -> bool:

@@ -1,10 +1,14 @@
 """The sweep worker process: pull a job, run it, report back.
 
 One worker owns two pipe endpoints handed to it by the broker: a task
-connection it reads ``(index, attempt, job)`` assignments from, and a
-result connection it writes ``("done" | "failed" | "beat", ...)`` tuples
-to.  Per-worker pipes (instead of one shared ``multiprocessing.Queue``)
-are a deliberate crash-isolation choice: when a worker is SIGKILLed the
+connection it reads ``(index, attempt, job, faults)`` assignments from,
+and a result connection it writes ``("done" | "failed" | "beat", ...)``
+tuples to.  A worker serves many sweeps over its life (see
+:class:`~repro.sweep.broker.WorkerPool`), so nothing sweep-specific is
+fixed at spawn: the fault plan arrives with each assignment.
+
+Per-worker pipes (instead of one shared ``multiprocessing.Queue``) are
+a deliberate crash-isolation choice: when a worker is SIGKILLed the
 worst it can corrupt is *its own* result pipe — the broker sees the EOF
 or the short read, classifies the death, and respawns the slot with
 fresh pipes, while every other worker's channel stays intact.
@@ -20,9 +24,10 @@ exception type is still known:
   quarantines the job immediately.
 
 A daemon heartbeat thread writes ``("beat", worker_id)`` every
-``heartbeat_interval`` seconds (sharing the result pipe under a lock —
-two threads writing one pipe unlocked would interleave frames).  A
-worker that stops beating while holding a job is, to the broker,
+``heartbeat_interval`` seconds while the worker holds a job (sharing the
+result pipe under a lock — two threads writing one pipe unlocked would
+interleave frames).  An idle worker stays silent, so a pool parked
+between sweeps never fills a result pipe nobody reads.  A worker that stops beating while holding a job is, to the broker,
 indistinguishable from a hung one — which is exactly the point: the
 injected ``stall`` fault suppresses the heartbeat to rehearse the
 silent-straggler re-dispatch path.
@@ -32,7 +37,6 @@ from __future__ import annotations
 
 import signal
 import threading
-import time
 
 from repro.sweep.faults import FaultInjector, TransientJobError
 
@@ -43,20 +47,21 @@ __all__ = ["worker_main", "DEFAULT_HEARTBEAT_INTERVAL"]
 DEFAULT_HEARTBEAT_INTERVAL = 0.2
 
 
-def _heartbeat_loop(result_conn, send_lock, worker_id, interval, stop, suppress):
+def _heartbeat_loop(result_conn, send_lock, worker_id, interval, stop,
+                    holding, suppress):
     while not stop.wait(interval):
-        if suppress.is_set():
-            continue
         try:
+            # Checked under the lock the report is sent under, so no beat
+            # can follow a job's report onto the pipe.
             with send_lock:
-                result_conn.send(("beat", worker_id))
+                if holding.is_set() and not suppress.is_set():
+                    result_conn.send(("beat", worker_id))
         except (BrokenPipeError, OSError):
             return  # broker is gone; the main loop will notice too
 
 
 def worker_main(worker_id: int, task_conn, result_conn,
-                heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-                faults_text: str = "") -> None:
+                heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL) -> None:
     """Process entry point: serve assignments until the None sentinel.
 
     SIGINT is ignored — interrupt handling (journal checkpoint, worker
@@ -70,14 +75,14 @@ def worker_main(worker_id: int, task_conn, result_conn,
     # makes the fork cheap even if this module is loaded early.
     from repro.sweep.executor import execute_work
 
-    injector = FaultInjector.parse(faults_text)
     send_lock = threading.Lock()
     stop = threading.Event()
+    holding = threading.Event()
     suppress = threading.Event()
     beat_thread = threading.Thread(
         target=_heartbeat_loop,
         args=(result_conn, send_lock, worker_id, heartbeat_interval,
-              stop, suppress),
+              stop, holding, suppress),
         daemon=True,
     )
     beat_thread.start()
@@ -90,10 +95,11 @@ def worker_main(worker_id: int, task_conn, result_conn,
                 return  # broker died; nothing to do but exit
             if message is None:
                 return
-            index, attempt, job = message
-            started = time.perf_counter()
+            index, attempt, job, faults = message
+            holding.set()
             try:
-                injector.pre_job(index, attempt, on_stall=suppress.set)
+                FaultInjector.parse(faults).pre_job(index, attempt,
+                                                    on_stall=suppress.set)
                 outcome = execute_work(job)
             except TransientJobError as error:
                 report = ("failed", worker_id, index, "transient", str(error))
@@ -104,11 +110,11 @@ def worker_main(worker_id: int, task_conn, result_conn,
                 report = ("failed", worker_id, index, "deterministic",
                           f"{type(error).__name__}: {error}")
             else:
-                report = ("done", worker_id, index, attempt, outcome,
-                          time.perf_counter() - started)
-            suppress.clear()
+                report = ("done", worker_id, index, attempt, outcome)
             try:
                 with send_lock:
+                    holding.clear()
+                    suppress.clear()
                     result_conn.send(report)
             except (BrokenPipeError, OSError):
                 return

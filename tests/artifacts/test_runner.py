@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -77,6 +78,34 @@ def test_run_paper_second_run_is_fully_cached_and_deterministic(tmp_path):
     assert second.n_jobs == first.n_jobs
     assert second.to_json() == first.to_json()
     assert second.to_markdown() == first.to_markdown()
+
+
+def test_run_paper_pooled_equals_inline_and_leaves_no_worker():
+    inline = run_paper(SUBSET, scale=TINY, workers=1)
+    pooled = run_paper(SUBSET, scale=TINY, workers=2)
+    assert pooled.to_markdown() == inline.to_markdown()
+    assert pooled.to_json() == inline.to_json()
+    assert not multiprocessing.active_children()
+
+
+def test_run_paper_shuts_its_pool_down_when_interrupted(monkeypatch):
+    import repro.artifacts.runner as runner_module
+    from repro.sweep import SweepInterrupted
+
+    real_build = runner_module.build_artifact
+    built = []
+
+    def build_then_interrupt(spec, service, scale):
+        if built:
+            raise SweepInterrupted("run", 1, 1)
+        built.append(real_build(spec, service, scale))
+        assert service.pool.n_spawned == 2
+        return built[-1]
+
+    monkeypatch.setattr(runner_module, "build_artifact", build_then_interrupt)
+    with pytest.raises(SweepInterrupted):
+        run_paper(SUBSET, scale=TINY, workers=2)
+    assert not multiprocessing.active_children()
 
 
 def _broken_spec(cells):

@@ -5,11 +5,18 @@ The fault plans are deterministic (see :mod:`repro.sweep.faults`), so
 each scenario exercises an exact code path: worker SIGKILL → crash
 retry, flaky → transient backoff, poison → quarantine + partial table,
 corrupt → cache-entry quarantine on the next load, stall → silent
-straggler re-dispatch.
+straggler re-dispatch.  A shared :class:`WorkerPool` must survive all
+of them from one sweep to the next.
 """
+
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
+from repro.artifacts import SweepService
 from repro.sweep import (
     EstimatorSpec,
     ExperimentSpec,
@@ -20,7 +27,8 @@ from repro.sweep import (
     run_sweep,
     resume_sweep,
 )
-from repro.sweep.broker import BrokerConfig, backoff_delay
+from repro.sweep.broker import BrokerConfig, WorkerPool, backoff_delay
+from repro.sweep.grid import expand
 
 N_BRANCHES = 600
 
@@ -186,3 +194,93 @@ class TestResume:
         path = journal_path(tmp_path / "runs", run.run_id)
         state = replay_journal(path, run.run_id)
         assert state.ended and len(state.done) == 6
+
+
+def _new_children(before: set[int]) -> list:
+    return [child for child in multiprocessing.active_children()
+            if child.pid not in before]
+
+
+def _child_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+class TestWorkerPool:
+    """One pool serves many sweeps: forked once, lazily, and kept sound."""
+
+    def test_service_forks_one_pool_for_every_grid(self, reference_tsv):
+        other = make_spec(name="broker-other", traces=("FP-1", "INT-2", "MM-2"))
+        before = _child_pids()
+        with SweepService(workers=2) as service:
+            first = service.sweep(make_spec())
+            workers = {child.pid for child in _new_children(before)}
+            second = service.sweep(other)
+            assert service.pool.n_spawned == 2
+            assert {child.pid for child in _new_children(before)} == workers
+        assert len(workers) == 2
+        assert not _new_children(before)
+        assert first.table.to_tsv() == reference_tsv
+        assert second.table.to_tsv() == run_sweep(other, workers=1).table.to_tsv()
+
+    def test_fully_cached_service_forks_no_worker(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        with SweepService(workers=2, cache=cache) as filler:
+            filler.sweep(make_spec())
+        with SweepService(workers=2, cache=cache) as service:
+            run = service.sweep(make_spec())
+            assert run.n_executed == 0
+            assert service.pool.n_spawned == 0
+
+    def test_worker_killed_while_idle_is_respawned(self, reference_tsv):
+        before = _child_pids()
+        with WorkerPool() as pool:
+            run_sweep(make_spec(), workers=2, pool=pool, faults="")
+            victim = _new_children(before)[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(5.0)
+            again = run_sweep(make_spec(), workers=2, pool=pool, faults="")
+            assert pool.n_spawned == 3
+        assert again.n_retries == 0
+        assert again.table.to_tsv() == reference_tsv
+
+    @pytest.mark.parametrize("faults", ["kill@1", "flaky@1"])
+    def test_fault_plan_does_not_outlive_its_sweep(self, faults, reference_tsv):
+        with WorkerPool() as pool:
+            faulty = run_sweep(make_spec(), workers=2, pool=pool,
+                               faults=faults, heartbeat_timeout=5.0)
+            clean = run_sweep(make_spec(), workers=2, pool=pool, faults="")
+        assert faulty.n_retries >= 1
+        assert clean.n_retries == 0
+        assert faulty.table.to_tsv() == clean.table.to_tsv() == reference_tsv
+
+    def test_idle_workers_send_no_heartbeats(self):
+        with WorkerPool(heartbeat_interval=0.02) as pool:
+            run_sweep(make_spec(), workers=2, pool=pool, faults="")
+            time.sleep(0.3)  # ~15 heartbeat intervals of idleness
+            slots = pool.acquire(2)
+            assert not any(slot.result_r.poll() for slot in slots)
+
+    def test_worker_still_holding_a_job_is_replaced(self, reference_tsv):
+        # What an interrupted sweep leaves behind: a worker mid-job.  Its
+        # late result must never reach the next sweep.
+        job = expand(make_spec()).jobs[0]
+        with WorkerPool() as pool:
+            (slot,) = pool.acquire(1)
+            slot.assign(0, 0, job, "stall@0:1:60")
+            pool.release([slot])
+            assert not slot.process.is_alive()
+            (again,) = pool.acquire(1)
+            assert again.process.is_alive() and again.busy is None
+            run = run_sweep(make_spec(), workers=2, pool=pool, faults="")
+            assert pool.n_spawned == 3
+        assert run.n_retries == 0
+        assert run.table.to_tsv() == reference_tsv
+
+    def test_service_shuts_its_pool_down_on_error(self):
+        before = _child_pids()
+        with pytest.raises(RuntimeError, match="boom"):
+            with SweepService(workers=2) as service:
+                service.sweep(make_spec())
+                assert len(_new_children(before)) == 2
+                raise RuntimeError("boom")
+        assert not _new_children(before)

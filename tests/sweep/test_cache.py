@@ -1,5 +1,6 @@
 """Tests for the on-disk sweep result cache."""
 
+import random
 import warnings
 
 import pytest
@@ -121,6 +122,32 @@ class TestResultCache:
         cache.store(job, executed)
         loaded = cache.load(job)
         assert loaded is not None and loaded.row() == executed.row()
+
+    def test_byte_flips_load_as_hits_or_quarantined_misses(self, tmp_path):
+        # Regression: a flipped byte could make load() raise (TypeError,
+        # MemoryError, OverflowError, or AttributeError after unpickling)
+        # instead of quarantining, aborting the whole sweep.
+        cache = ResultCache(tmp_path)
+        job = make_job()
+        cache.store(job, execute_job(job))
+        entry = cache.path(job)
+        original = entry.read_bytes()
+        rng = random.Random(2011)
+        n_quarantined = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in range(600):
+                flipped = bytearray(original)
+                flipped[rng.randrange(len(flipped))] ^= rng.randrange(1, 256)
+                entry.write_bytes(bytes(flipped))
+                loaded = cache.load(job)
+                if loaded is None:
+                    assert not entry.exists()
+                    assert (tmp_path / CORRUPT_DIR / entry.name).exists()
+                    n_quarantined += 1
+                else:
+                    assert loaded.from_cache
+        assert n_quarantined > 0
 
     def test_missing_entry_is_not_quarantined(self, tmp_path):
         # A plain miss must not warn or create .corrupt/.

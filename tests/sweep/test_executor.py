@@ -1,5 +1,7 @@
 """Tests for sweep execution: single jobs, pools, caching, aggregation."""
 
+import os
+
 import pytest
 
 from repro.sim.runner import get_trace, run_trace
@@ -10,7 +12,7 @@ from repro.sweep import (
     ResultCache,
     run_sweep,
 )
-from repro.sweep.executor import execute_job
+from repro.sweep.executor import default_workers, execute_job
 from repro.sweep.spec import JobSpec
 
 N_BRANCHES = 800
@@ -119,6 +121,24 @@ class TestRunSweep:
             assert mine.trace_name == reference.trace_name
             assert mine.mispredictions == reference.mispredictions
             assert mine.class_table() == reference.class_table()
+
+    def test_default_workers_follows_the_affinity_mask(self, monkeypatch):
+        # A host pinned to fewer cores than it has must not be
+        # oversubscribed: the affinity set, not cpu_count(), sizes it.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5, 7},
+                            raising=False)
+        assert default_workers() == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1},
+                            raising=False)
+        assert default_workers() == 2  # the floor
+
+    def test_default_workers_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert default_workers() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_workers() == 2
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
